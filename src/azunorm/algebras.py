@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from math import isqrt
 
 from .etale import QuadraticEtale
 from .rings import (ClassificationError, ExactAlgebraError, NonUnitError, Poly,
-                    Ring, RingElem, RingMatrix, ShapeError, nth_root_monic,
-                    nullspace, row_reduce, solve_field)
+                    Ring, RingElem, RingMatrix, ShapeError, extend_basis,
+                    nth_root_monic, nullspace, solve_field)
 
 
 class AlgebraElem:
@@ -82,11 +83,6 @@ class AlgebraElem:
             k >>= 1
         return AlgebraElem(owner, out)
 
-    def scale_base(self, r) -> "AlgebraElem":
-        """Multiply by a base scalar."""
-        p = r.payload if isinstance(r, RingElem) else r
-        return AlgebraElem(self.owner, self.owner.scale_base_p(self.payload, p))
-
     @property
     def is_unit(self) -> bool:
         return self.owner.is_unit_p(self.payload)
@@ -97,9 +93,6 @@ class AlgebraElem:
     @property
     def is_zero(self) -> bool:
         return self.payload == self.owner.zero_p()
-
-    def sort_key(self) -> int:
-        return self.owner.encode(self.payload)
 
     def __eq__(self, x):
         if not isinstance(x, AlgebraElem):
@@ -173,18 +166,22 @@ class Algebra:
     def basis(self):
         return [AlgebraElem(self, p) for p in self.basis_p()]
 
+    def matrix_of(self, fn) -> RingMatrix:
+        """Matrix over the base of a base-linear payload map, in the standard basis."""
+        return RingMatrix.from_columns(
+            self.base, [self.coords_p(fn(b)) for b in self.basis_p()])
+
     def left_mult_matrix(self, payload) -> RingMatrix:
         """Matrix over the base of y |-> payload*y in the standard basis."""
-        cols = [self.coords_p(self.mul_p(payload, b)) for b in self.basis_p()]
-        r = self.rank
-        return RingMatrix(self.base, r, r,
-                          [cols[j][i] for i in range(r) for j in range(r)])
+        return self.matrix_of(lambda b: self.mul_p(payload, b))
 
     def right_mult_matrix(self, payload) -> RingMatrix:
-        cols = [self.coords_p(self.mul_p(b, payload)) for b in self.basis_p()]
-        r = self.rank
-        return RingMatrix(self.base, r, r,
-                          [cols[j][i] for i in range(r) for j in range(r)])
+        return self.matrix_of(lambda b: self.mul_p(b, payload))
+
+    @cached_property
+    def cdata(self) -> "CenterData":
+        """The center and the center-module structure, found without an involution."""
+        return center_data(self)
 
     def __eq__(self, other):
         return isinstance(other, Algebra) and self._signature() == other._signature()
@@ -258,10 +255,6 @@ class MatrixAlgebra(Algebra):
         mul = self.center.mul_p
         return tuple(mul(r, x) for x in a)
 
-    def scale_center_p(self, a, c):
-        mul = self.center.mul_p
-        return tuple(mul(c, x) for x in a)
-
     def det_p(self, a):
         """Determinant over the center (the reduced norm of a split element)."""
         c = self.center
@@ -308,9 +301,6 @@ class MatrixAlgebra(Algebra):
     # -- matrix views ---------------------------------------------------------
     def as_matrix_p(self, a) -> RingMatrix:
         return RingMatrix(self.center, self.n, self.n, a)
-
-    def as_matrix(self, e: AlgebraElem) -> RingMatrix:
-        return self.as_matrix_p(e.payload)
 
     def from_matrix(self, m: RingMatrix) -> AlgebraElem:
         if m.ring != self.center or m.nrows != self.n or m.ncols != self.n:
@@ -530,25 +520,16 @@ class TableAlgebra(Algebra):
 class Involution:
     """A base-linear anti-automorphism of order 2, held as its matrix.
 
-    An optional payload-level rule is used for fast application; the matrix
-    (always materialized) is what the kernel computations use.
+    The matrix acts on base coordinates in the standard basis and is the
+    only way the involution is applied.
     """
 
-    def __init__(self, algebra: Algebra, matrix: RingMatrix = None, rule=None,
-                 validate=True):
-        if matrix is None:
-            if rule is None:
-                raise ShapeError("need a matrix or a rule")
-            cols = [algebra.coords_p(rule(b)) for b in algebra.basis_p()]
-            r = algebra.rank
-            matrix = RingMatrix(algebra.base, r, r,
-                                [cols[j][i] for i in range(r) for j in range(r)])
+    def __init__(self, algebra: Algebra, matrix: RingMatrix, validate=True):
         if matrix.ring != algebra.base or matrix.nrows != algebra.rank \
                 or matrix.ncols != algebra.rank:
             raise ShapeError("involution matrix must be rank x rank over the base")
         self.algebra = algebra
         self.matrix = matrix
-        self.rule = rule
         if validate:
             self._validate()
 
@@ -569,10 +550,8 @@ class Involution:
             raise ClassificationError("involution does not fix 1")
 
     def apply_p(self, payload):
-        if self.rule is not None:
-            return self.rule(payload)
         alg = self.algebra
-        return alg.from_coords_p(self.matrix.apply(list(alg.coords_p(payload))))
+        return alg.from_coords_p(self.matrix.apply(alg.coords_p(payload)))
 
     def apply(self, e: AlgebraElem) -> AlgebraElem:
         if e.owner != self.algebra:
@@ -594,11 +573,11 @@ def hermitian_involution(algebra: MatrixAlgebra, h: RingMatrix) -> Involution:
         raise NonUnitError("h must be invertible")
     hinv = h.inverse()
 
-    def rule(payload):
+    def formula(payload):
         m = algebra.as_matrix_p(payload).transpose().map_entries(C.sigma_p)
-        return tuple((hinv * m * h).cells)
+        return (hinv * m * h).cells
 
-    return Involution(algebra, rule=rule)
+    return Involution(algebra, algebra.matrix_of(formula))
 
 
 def adjoint_involution(algebra: MatrixAlgebra, g: RingMatrix) -> Involution:
@@ -612,12 +591,8 @@ def adjoint_involution(algebra: MatrixAlgebra, g: RingMatrix) -> Involution:
     if not g.det().is_unit:
         raise NonUnitError("g must be invertible")
     ginv = g.inverse()
-
-    def rule(payload):
-        m = algebra.as_matrix_p(payload).transpose()
-        return tuple((ginv * m * g).cells)
-
-    return Involution(algebra, rule=rule)
+    return Involution(algebra, algebra.matrix_of(
+        lambda payload: (ginv * algebra.as_matrix_p(payload).transpose() * g).cells))
 
 
 def transpose_involution(algebra: MatrixAlgebra) -> Involution:
@@ -766,32 +741,17 @@ def center_data(algebra: Algebra, involution: Involution = None) -> CenterData:
         raise ClassificationError("center-module basis extraction needs a field base")
     r = algebra.rank
     umat = algebra.left_mult_matrix(u)
-    chosen = []
-    spanned_rows = []
-    rank_now = 0
-    for b in algebra.basis_p():
-        v1 = list(algebra.coords_p(b))
-        v2 = umat.apply(v1)
-        trial = spanned_rows + [v1, v2]
-        _, pivots = row_reduce(base, trial)
-        if len(pivots) == rank_now + 2:
-            chosen.append(b)
-            spanned_rows = trial
-            rank_now += 2
-        if rank_now == r:
-            break
-    if rank_now != r or 2 * len(chosen) != r:
+    basis = algebra.basis_p()
+    pairs = [(v, umat.apply(v)) for v in map(algebra.coords_p, basis)]
+    picked = extend_basis(base, [], pairs, r)
+    if 2 * len(picked) != r:
         raise ClassificationError("could not extract a free center-module basis")
+    chosen = [basis[i] for i in picked]
     nsq = len(chosen)
     n = isqrt(nsq)
     if n * n != nsq:
         raise ClassificationError("rank over the center is not a square")
-    cols = []
-    for b in chosen:
-        cols.append(list(algebra.coords_p(b)))
-        cols.append(umat.apply(list(algebra.coords_p(b))))
-    bmat = RingMatrix(base, r, r, [cols[j][i] for i in range(r) for j in range(r)])
-    binv = bmat.inverse()
+    binv = RingMatrix.from_columns(base, [v for i in picked for v in pairs[i]]).inverse()
 
     def ccoords(payload):
         mixed = binv.apply(list(algebra.coords_p(payload)))
@@ -804,25 +764,19 @@ def center_data(algebra: Algebra, involution: Involution = None) -> CenterData:
 def reduced_char_poly_data(algebra: Algebra, payload, cdata: CenterData) -> Poly:
     if isinstance(algebra, MatrixAlgebra):
         return algebra.as_matrix_p(payload).char_poly()
-    C = cdata.ring
-    cb = cdata.cbasis
-    k = len(cb)
-    cols = [cdata.ccoords_p(algebra.mul_p(payload, b)) for b in cb]
-    mat = RingMatrix(C, k, k, [cols[j][i] for i in range(k) for j in range(k)])
-    full = mat.char_poly()
-    return nth_root_monic(full, cdata.degree)
+    mat = RingMatrix.from_columns(
+        cdata.ring, [cdata.ccoords_p(algebra.mul_p(payload, b)) for b in cdata.cbasis])
+    return nth_root_monic(mat.char_poly(), cdata.degree)
 
 
 def reduced_char_poly(algebra: Algebra, x: AlgebraElem) -> Poly:
     """Monic degree-n polynomial over the center whose constant term encodes nrd."""
-    cdata = _cached_cdata(algebra)
-    return reduced_char_poly_data(algebra, x.payload, cdata)
+    return reduced_char_poly_data(algebra, x.payload, algebra.cdata)
 
 
 def nrd(algebra: Algebra, x: AlgebraElem) -> RingElem:
     """Reduced norm: (-1)^n times the constant reduced-char-poly coefficient."""
-    cdata = _cached_cdata(algebra)
-    return nrd_data(algebra, x.payload, cdata)
+    return nrd_data(algebra, x.payload, algebra.cdata)
 
 
 def nrd_data(algebra: Algebra, payload, cdata: CenterData) -> RingElem:
@@ -834,18 +788,6 @@ def nrd_data(algebra: Algebra, payload, cdata: CenterData) -> RingElem:
     if cdata.degree % 2 == 1:
         c0 = C.neg_p(c0)
     return RingElem(C, c0)
-
-
-_CDATA_CACHE = {}
-
-
-def _cached_cdata(algebra: Algebra) -> CenterData:
-    key = algebra._signature()
-    got = _CDATA_CACHE.get(key)
-    if got is None:
-        got = center_data(algebra)
-        _CDATA_CACHE[key] = got
-    return got
 
 
 class AlgebraWithInvolution:
@@ -880,12 +822,6 @@ class AlgebraWithInvolution:
         if c.ring != self.center_ring:
             raise ShapeError("not a center element")
         return AlgebraElem(self.algebra, self.cdata.embed_p(c.payload))
-
-    def center_sigma(self, c: RingElem) -> RingElem:
-        """The involution restricted to the center."""
-        if self.kind == "unitary":
-            return self.center_ring.sigma(c)
-        return c
 
     @property
     def sqrt_center(self) -> AlgebraElem:
@@ -989,20 +925,13 @@ def azumaya_verify(algebra: Algebra) -> AzumayaReport:
     else:
         basis = algebra.basis_p()
         scoords = algebra.scoords_p
-    rc = len(basis)
-    cells = [None] * (rc * rc * rc * rc)
-    width = rc * rc
-    for i in range(rc):
-        for j in range(rc):
-            col = i * rc + j
-            for l in range(rc):
-                w = algebra.mul_p(algebra.mul_p(basis[i], basis[l]), basis[j])
-                sc = scoords(w)
-                for k in range(rc):
-                    cells[(k * rc + l) * width + col] = sc[k]
-    big = RingMatrix(S, width, width, cells)
+    mul = algebra.mul_p
+    # column (i, j): the matrix of z |-> b_i z b_j, flattened row-major
+    big = RingMatrix.from_columns(S, [
+        RingMatrix.from_columns(S, [scoords(mul(mul(bi, bl), bj)) for bl in basis]).cells
+        for bi in basis for bj in basis])
     det = big.det()
-    return AzumayaReport(ok=det.is_unit, det=det, dimension=width)
+    return AzumayaReport(ok=det.is_unit, det=det, dimension=big.nrows)
 
 
 # -- converters ---------------------------------------------------------------
@@ -1016,45 +945,11 @@ def to_table(algebra: MatrixAlgebra, validate=False) -> tuple:
     base = algebra.base
     if not base.is_field:
         raise ClassificationError("table conversion implemented over field bases")
-    r = algebra.rank
-    std = algebra.basis_p()
-    cand = [algebra.one_p()] + std
-    rows = []
-    chosen = []
-    rank_now = 0
-    for p in cand:
-        trial = rows + [list(algebra.coords_p(p))]
-        _, pivots = row_reduce(base, trial)
-        if len(pivots) == rank_now + 1:
-            chosen.append(p)
-            rows = trial
-            rank_now += 1
-        if rank_now == r:
-            break
-    if rank_now != r:
+    cand = [algebra.one_p()] + algebra.basis_p()
+    picked = extend_basis(base, [], ([algebra.coords_p(p)] for p in cand), algebra.rank)
+    if len(picked) != algebra.rank:
         raise ClassificationError("could not build a unit-first basis")
-    cols = [list(algebra.coords_p(p)) for p in chosen]
-    bmat = RingMatrix(base, r, r, [cols[j][i] for i in range(r) for j in range(r)])
-    binv = bmat.inverse()
-
-    def new_coords(payload):
-        return tuple(binv.apply(list(algebra.coords_p(payload))))
-
-    gamma = []
-    for i in range(r):
-        row = []
-        for j in range(r):
-            row.append(new_coords(algebra.mul_p(chosen[i], chosen[j])))
-        gamma.append(row)
-    table = TableAlgebra(base, gamma, unit_index=0, validate=validate)
-
-    def fwd(payload):
-        return new_coords(payload)
-
-    def back(vec):
-        return algebra.from_coords_p(bmat.apply(list(vec)))
-
-    return table, fwd, back
+    return _table_in_basis(algebra, [cand[i] for i in picked], validate)
 
 
 def rebase_table(table: TableAlgebra, new_basis_payloads, validate=False) -> tuple:
@@ -1062,35 +957,30 @@ def rebase_table(table: TableAlgebra, new_basis_payloads, validate=False) -> tup
 
     Returns (table', fwd payload map, back payload map).
     """
-    base = table.base
-    r = table.rank
-    if len(new_basis_payloads) != r:
+    if len(new_basis_payloads) != table.rank:
         raise ShapeError("need a full basis")
     if new_basis_payloads[0] != table.one_p():
         raise ShapeError("first basis vector must be 1")
-    cols = [list(p) for p in new_basis_payloads]
-    bmat = RingMatrix(base, r, r, [cols[j][i] for i in range(r) for j in range(r)])
-    binv = bmat.inverse()  # raises NonUnitError if not a basis
+    return _table_in_basis(table, new_basis_payloads, validate)
 
-    def new_coords(payload):
-        return tuple(binv.apply(list(payload)))
 
-    gamma = []
-    for i in range(r):
-        row = []
-        for j in range(r):
-            row.append(new_coords(table.mul_p(new_basis_payloads[i],
-                                              new_basis_payloads[j])))
-        gamma.append(row)
-    out = TableAlgebra(base, gamma, unit_index=0, validate=validate)
+def _table_in_basis(algebra: Algebra, basis, validate) -> tuple:
+    """Structure table of algebra in a basis of payloads that starts with 1.
+
+    Returns (table, to_table_payload, from_table_payload); raises
+    NonUnitError when the payloads are not a basis.
+    """
+    bmat = RingMatrix.from_columns(algebra.base, [algebra.coords_p(p) for p in basis])
+    binv = bmat.inverse()
 
     def fwd(payload):
-        return new_coords(payload)
+        return tuple(binv.apply(algebra.coords_p(payload)))
 
     def back(vec):
-        return tuple(bmat.apply(list(vec)))
+        return algebra.from_coords_p(bmat.apply(list(vec)))
 
-    return out, fwd, back
+    gamma = [[fwd(algebra.mul_p(x, y)) for y in basis] for x in basis]
+    return TableAlgebra(algebra.base, gamma, unit_index=0, validate=validate), fwd, back
 
 
 def scalar_extension(algebra: Algebra, ext) -> tuple:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cached_property
 
 from . import presets
 from .algebras import (AlgebraWithInvolution, MatrixAlgebra, TableAlgebra,
@@ -69,9 +70,15 @@ class ExperimentConfig:
         self.seed = 0
         self.report_path = None
 
+    @cached_property
+    def split(self):
+        """The plus/minus splitting of the unitary involution, built once."""
+        return pm_split(self.awi)
+
 
 def _fail(lineno: int, msg: str):
-    raise ConfigError(f"line {lineno}: {msg}")
+    # line 0 marks a subcommand task, which has no config line
+    raise ConfigError(msg, line=lineno or None)
 
 
 def _parse_sections(text: str):
@@ -356,18 +363,16 @@ def _need_unitary(cfg):
     return cfg.awi
 
 
-def _parse_element(cfg, literal: str):
+def _parse_element(cfg, literal: str, lineno: int):
     alg = _need_algebra(cfg)
     entries = [t for t in literal.split(",") if t.strip()]
     if isinstance(alg, MatrixAlgebra):
-        n = alg.n
-        if len(entries) != n * n:
-            raise ConfigError(f"element needs {n * n} entries, got {len(entries)}")
-        vals = tuple(_center_entry(alg.center, t, 0) for t in entries)
-        return vals
-    if len(entries) != alg.rank:
-        raise ConfigError(f"element needs {alg.rank} coordinates, got {len(entries)}")
-    return tuple(alg.base.int_p(int(t, 10)) for t in entries)
+        ring, count, what = alg.center, alg.n * alg.n, "entries"
+    else:
+        ring, count, what = alg.base, alg.rank, "coordinates"
+    if len(entries) != count:
+        _fail(lineno, f"element needs {count} {what}, got {len(entries)}")
+    return tuple(_center_entry(ring, t, lineno) for t in entries)
 
 
 def _extension_for(cfg, name: str) -> FiniteFreeExtension:
@@ -389,17 +394,9 @@ def _int_param(params, key, default):
         raise ConfigError(f"parameter {key} must be an integer")
 
 
-_SPLIT_CACHE = {}
-
-
-def _split_for(awi):
-    key = id(awi)
-    if key not in _SPLIT_CACHE:
-        _SPLIT_CACHE[key] = pm_split(awi)
-    return _SPLIT_CACHE[key]
-
-
-def run_task(name: str, params: dict, cfg: ExperimentConfig, seed: int) -> ReportRecord:
+def run_task(name: str, params: dict, cfg: ExperimentConfig, seed: int,
+             lineno: int) -> ReportRecord:
+    """Run one task; lineno is its config line (0 for a subcommand task)."""
     if name in ("verify-azumaya", "azumaya-verify"):
         rep = azumaya_verify(_need_algebra(cfg))
         return ReportRecord(name, "PASS" if rep.ok else "FAIL",
@@ -410,7 +407,7 @@ def run_task(name: str, params: dict, cfg: ExperimentConfig, seed: int) -> Repor
         if "x" not in params:
             raise ConfigError("task nrd needs x=<element>")
         alg = _need_algebra(cfg)
-        x = alg.elem(_parse_element(cfg, params["x"]))
+        x = alg.elem(_parse_element(cfg, params["x"], lineno))
         value = nrd(alg, x)
         return ReportRecord(name, "PASS",
                             {"unit": 1 if value.ring.is_unit_p(value.payload) else 0},
@@ -420,7 +417,7 @@ def run_task(name: str, params: dict, cfg: ExperimentConfig, seed: int) -> Repor
         awi = _need_unitary(cfg)
         if "a" not in params:
             raise ConfigError("task h90 needs a=<element>")
-        a = awi.algebra.elem(_parse_element(cfg, params["a"]))
+        a = awi.algebra.elem(_parse_element(cfg, params["a"], lineno))
         w = h90_witness(awi, a)
         dump = {"lambda": str(w.lam), "c": str(w.c), "b": str(w.b)}
         return ReportRecord(name, "PASS" if w.verified else "FAIL",
@@ -435,9 +432,9 @@ def run_task(name: str, params: dict, cfg: ExperimentConfig, seed: int) -> Repor
         awi = _need_unitary(cfg)
         if "a" not in params:
             raise ConfigError("task np-witness needs a=<element>")
-        a = awi.algebra.elem(_parse_element(cfg, params["a"]))
+        a = awi.algebra.elem(_parse_element(cfg, params["a"], lineno))
         use_seed = _int_param(params, "seed", seed)
-        w = np_witness(_split_for(awi), a, seed=use_seed)
+        w = np_witness(cfg.split, a, seed=use_seed)
         dump = {"route": w.route, "w": str(w.w)}
         if w.seed is not None:
             dump["seed"] = w.seed
@@ -527,7 +524,8 @@ def run_task(name: str, params: dict, cfg: ExperimentConfig, seed: int) -> Repor
         raise ConfigError("axioms needs which = norm-inclusion | additivity | base-change")
 
     if name == "survey":
-        dlist = [int(t) for t in params.get("d", "0,1,2,3").split(",")]
+        dlist = [_want_int(t, lineno, "survey d")
+                 for t in params.get("d", "0,1,2,3").split(",")]
         metrics = {}
         for ename, c in presets.etale_family():
             ext = etale_extension(c)
@@ -551,9 +549,9 @@ def run(cfg: ExperimentConfig, tasks=None, seed=None, out=None):
     use_seed = cfg.seed if seed is None else seed
     records = []
     worst = 0
-    for name, params, _ in todo:
+    for name, params, lineno in todo:
         try:
-            rec = run_task(name, params, cfg, use_seed)
+            rec = run_task(name, params, cfg, use_seed, lineno)
         except ExactAlgebraError as e:
             rec = ReportRecord(name, "ERROR", {}, detail=str(e))
         records.append(rec)
@@ -584,18 +582,12 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True)
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--report", default=None)
-    parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--strict", action="store_true",
-                        help="strict config validation (always on)")
     parser.add_argument("params", nargs="*",
                         help="task parameters as key=value (subcommand mode)")
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
-    if args.jobs < 1:
-        print("--jobs must be at least 1", file=sys.stderr)
-        return 2
     if args.seed is not None and args.seed < 0:
         print("--seed must be nonnegative", file=sys.stderr)
         return 2

@@ -30,18 +30,6 @@ class QuadraticEtale(PolyQuotient):
         modulus = Poly(base, [base.neg_p(s), base.zero_p(), base.one_p()])
         super().__init__(base, modulus)
 
-    # -- pair view -------------------------------------------------------
-    def make(self, x, y) -> RingElem:
-        px = x.payload if isinstance(x, RingElem) else self.base.int_p(x)
-        py = y.payload if isinstance(y, RingElem) else self.base.int_p(y)
-        return self.elem((px, py))
-
-    def x_part(self, c: RingElem) -> RingElem:
-        return RingElem(self.base, c.payload[0])
-
-    def y_part(self, c: RingElem) -> RingElem:
-        return RingElem(self.base, c.payload[1])
-
     @property
     def sqrt_gen(self) -> RingElem:
         """The class of x, a square root of s."""

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .algebras import (Algebra, AlgebraElem, AlgebraWithInvolution,
                        MatrixAlgebra, extend_awi, nrd as algebra_nrd,
-                       scalar_extension)
+                       nrd_data, scalar_extension)
 from .etale import QuadraticEtale
 from .rings import ClassificationError, ExactAlgebraError, Ring, RingElem
 
@@ -42,8 +42,7 @@ def enumerate_special(a, which: str):
         if which != "SL":
             raise ClassificationError(f"{which} needs an involution")
         alg = a
-        from .algebras import center_data, nrd_data
-        cd = center_data(alg)
+        cd = alg.cdata
         C = cd.ring
 
         def nrd_p(p):
@@ -263,6 +262,8 @@ def functor_linear(algebra, ext, d: int) -> FiniteAbelianPresentation:
 
     algebra may be a plain presentation, an AlgebraWithInvolution, or None;
     None drops the norm subgroup entirely and yields the pure power quotient.
+    When the extended algebra's center is a quadratic etale extension of the
+    extended ring, its reduced norms are pushed down by the etale norm.
     """
     if d < 0:
         raise ExactAlgebraError("d must be nonnegative")
@@ -275,6 +276,9 @@ def functor_linear(algebra, ext, d: int) -> FiniteAbelianPresentation:
         alg = algebra.algebra if isinstance(algebra, AlgebraWithInvolution) else algebra
         alg_t, _ = scalar_extension(alg, ext)
         nrdset = nrd_unit_image(alg_t)
+        C = alg_t.cdata.ring
+        if isinstance(C, QuadraticEtale) and C.base == T:
+            nrdset = {C.norm_p(n) for n in nrdset}
         sub = {T.mul_p(n, p) for n in nrdset for p in powd}
     return FiniteAbelianPresentation(T, units, sub)
 

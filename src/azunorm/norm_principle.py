@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 from .algebras import AlgebraElem, AlgebraWithInvolution
 from .rings import (ClassificationError, ExactAlgebraError, NonUnitError,
-                    RingElem, RingMatrix, SearchExhausted, nullspace,
-                    row_reduce)
+                    RingElem, RingMatrix, SearchExhausted, extend_basis,
+                    nullspace)
 
 
 class PreconditionError(ExactAlgebraError):
@@ -61,11 +61,8 @@ class PlusMinusSplit:
         self.sqrt_b = sqrt_b
         self.basis_plus = [alg.from_coords_p(p) for p in plus]
         self.basis_minus = minus
-        cols = [list(alg.coords_p(p)) for p in minus] \
-            + [list(p) for p in plus]
-        self.basis_matrix = RingMatrix(base, r, r,
-                                       [cols[j][i] for i in range(r)
-                                        for j in range(r)])
+        self.basis_matrix = RingMatrix.from_columns(
+            base, [alg.coords_p(p) for p in minus] + plus)
         try:
             self.basis_inverse = self.basis_matrix.inverse()
         except NonUnitError:
@@ -75,21 +72,10 @@ class PlusMinusSplit:
     @staticmethod
     def _plus_basis_with_one_first(base, m, one_coords, fixed):
         if base.is_field:
-            chosen = [one_coords]
-            rows = [one_coords]
-            rank_now = 1
-            for v in fixed:
-                if rank_now == m:
-                    break
-                trial = rows + [list(v)]
-                _, pivots = row_reduce(base, trial)
-                if len(pivots) == rank_now + 1:
-                    chosen.append(list(v))
-                    rows = trial
-                    rank_now += 1
-            if rank_now != m:
+            picked = extend_basis(base, [one_coords], ([v] for v in fixed), m)
+            if 1 + len(picked) != m:
                 raise ClassificationError("could not lead the symmetric basis with 1")
-            return [tuple(v) for v in chosen]
+            return [tuple(one_coords)] + [tuple(fixed[i]) for i in picked]
         if m != 1:
             raise ClassificationError(
                 "non-field base supports only rank-1 symmetric blocks")
@@ -154,12 +140,10 @@ def _omega(split: PlusMinusSplit, payload):
     if m == 1:
         v_coords = [base.one_p()]
     else:
-        rows = range(m + 1, 2 * m)
-        n_mat = RingMatrix(base, m - 1, m - 1,
-                           [cols[j][i] for i in rows for j in range(1, m)])
+        n_mat = RingMatrix.from_columns(base, [c[m + 1:] for c in cols[1:]])
         if not n_mat.det().is_unit:
             return False, None, None, None, None
-        cbar = [base.neg_p(cols[0][i]) for i in rows]
+        cbar = [base.neg_p(x) for x in cols[0][m + 1:]]
         tail = n_mat.inverse().apply(cbar)
         v_coords = [base.one_p()] + list(tail)
     v = split.from_minus_coords(v_coords)

@@ -109,10 +109,6 @@ class Ring:
         """Payload of k * 1."""
         raise NotImplementedError
 
-    def flat_coords(self, a) -> tuple:
-        """Canonical integer coordinate vector of a payload."""
-        raise NotImplementedError
-
     def encode(self, a) -> int:
         """Little-endian integer encoding; the canonical sort key."""
         raise NotImplementedError
@@ -266,9 +262,6 @@ class RingElem:
     def is_zero(self) -> bool:
         return self.payload == self.ring.zero_p()
 
-    def sort_key(self) -> int:
-        return self.ring.encode(self.payload)
-
     def __eq__(self, other):
         if not isinstance(other, RingElem):
             return NotImplemented
@@ -323,9 +316,6 @@ class Zmod(Ring):
 
     def int_p(self, k):
         return k % self.n
-
-    def flat_coords(self, a):
-        return (a,)
 
     def encode(self, a):
         return a
@@ -383,24 +373,12 @@ class Poly:
         self.coeffs = _strip(tuple(coeffs), ring.zero_p())
 
     @classmethod
-    def from_elems(cls, elems):
-        if not elems:
-            raise ShapeError("need at least one coefficient element")
-        ring = elems[0].ring
-        return cls(ring, [e.payload for e in elems])
-
-    @classmethod
     def from_ints(cls, ring, ints):
         return cls(ring, [ring.int_p(k) for k in ints])
 
     @classmethod
     def x(cls, ring):
         return cls(ring, [ring.zero_p(), ring.one_p()])
-
-    @classmethod
-    def monomial(cls, ring, deg, lead=None):
-        c = ring.one_p() if lead is None else lead
-        return cls(ring, [ring.zero_p()] * deg + [c])
 
     @classmethod
     def constant(cls, elem: RingElem):
@@ -469,12 +447,6 @@ class Poly:
     def scale(self, c: RingElem) -> "Poly":
         r = self.ring
         return Poly(r, [r.mul_p(c.payload, a) for a in self.coeffs])
-
-    def shift(self, k: int) -> "Poly":
-        """Multiply by x^k."""
-        if self.is_zero:
-            return self
-        return Poly(self.ring, (self.ring.zero_p(),) * k + self.coeffs)
 
     def evaluate(self, x: RingElem) -> RingElem:
         if x.ring != self.ring:
@@ -639,17 +611,10 @@ class PolyQuotient(Ring):
 
     def mult_matrix(self, a) -> "RingMatrix":
         """Matrix of y |-> a*y over the base, in the power basis."""
-        cols = []
-        col = a
-        cols.append(col)
+        cols = [a]
         for _ in range(self.deg - 1):
-            col = self.shift_p(col)
-            cols.append(col)
-        cells = []
-        for i in range(self.deg):
-            for j in range(self.deg):
-                cells.append(cols[j][i])
-        return RingMatrix(self.base, self.deg, self.deg, cells)
+            cols.append(self.shift_p(cols[-1]))
+        return RingMatrix.from_columns(self.base, cols)
 
     def is_unit_p(self, a):
         cached = self._unit_cache.get(a)
@@ -684,12 +649,6 @@ class PolyQuotient(Ring):
             raise ShapeError("not a base element")
         return RingElem(self, self.embed_p(e.payload))
 
-    def flat_coords(self, a):
-        out = []
-        for c in a:
-            out.extend(self.base.flat_coords(c))
-        return tuple(out)
-
     def encode(self, a):
         out = 0
         for c in reversed(a):
@@ -702,9 +661,6 @@ class PolyQuotient(Ring):
             code, digit = divmod(code, self.base.size)
             out.append(self.base.decode(digit))
         return tuple(out)
-
-    def as_poly(self, a) -> Poly:
-        return Poly(self.base, a)
 
     def _signature(self):
         return ("poly-quot", self.base._signature(), self.modulus.coeffs)
@@ -769,12 +725,6 @@ class ProductRing(Ring):
 
     def int_p(self, k):
         return tuple(f.int_p(k) for f in self.factors)
-
-    def flat_coords(self, a):
-        out = []
-        for f, x in zip(self.factors, a):
-            out.extend(f.flat_coords(x))
-        return tuple(out)
 
     def encode(self, a):
         out = 0
@@ -869,9 +819,6 @@ class PolyRing(Ring):
             acc = base.add_p(base.mul_p(acc, point), c)
         return acc
 
-    def const_p(self, b):
-        return () if b == self.base.zero_p() else (b,)
-
     def t_degree(self, a):
         return len(a) - 1
 
@@ -955,6 +902,15 @@ class RingMatrix:
                 else:
                     cells.append(e)
         return cls(ring, nrows, ncols, cells)
+
+    @classmethod
+    def from_columns(cls, ring: Ring, cols):
+        """Matrix whose j-th column is the payload vector cols[j]."""
+        cols = [tuple(c) for c in cols]
+        nrows = len(cols[0]) if cols else 0
+        if any(len(c) != nrows for c in cols):
+            raise ShapeError("ragged columns")
+        return cls(ring, nrows, len(cols), [c[i] for i in range(nrows) for c in cols])
 
     @classmethod
     def identity(cls, ring: Ring, n: int):
@@ -1270,6 +1226,27 @@ def row_reduce(r: Ring, rows):
         if lead == len(rows):
             break
     return rows, pivots
+
+
+def extend_basis(r: Ring, rows, blocks, want: int):
+    """Greedy rank extension over a field.
+
+    Walks blocks (each a list of row vectors) in order and keeps a block
+    when adding it to rows raises the rank by its full size, until the rank
+    reaches want.  Returns the indices of the kept blocks.
+    """
+    rows = [list(row) for row in rows]
+    rank = len(row_reduce(r, rows)[1])
+    chosen = []
+    for i, block in enumerate(blocks):
+        if rank >= want:
+            break
+        trial = rows + [list(v) for v in block]
+        got = len(row_reduce(r, trial)[1])
+        if got == rank + len(block):
+            chosen.append(i)
+            rows, rank = trial, got
+    return chosen
 
 
 def nullspace(m: RingMatrix):

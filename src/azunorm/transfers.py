@@ -80,10 +80,8 @@ class FiniteFreeExtension:
 
     # -- the norm ---------------------------------------------------------
     def mult_matrix(self, t_payload) -> RingMatrix:
-        cols = [self.coords_p(self.total.mul_p(t_payload, b)) for b in self.basis]
-        k = self.rank
-        return RingMatrix(self.base, k, k,
-                          [cols[j][i] for i in range(k) for j in range(k)])
+        return RingMatrix.from_columns(
+            self.base, [self.coords_p(self.total.mul_p(t_payload, b)) for b in self.basis])
 
     def norm_p(self, t_payload):
         return self.mult_matrix(t_payload).det().payload

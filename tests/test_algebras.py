@@ -2,8 +2,10 @@
 characteristic polynomials, reduced norms, involutions and their kinds."""
 
 import random
+from functools import partial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from azunorm import presets
 from azunorm.algebras import (AlgebraWithInvolution, Involution, MatrixAlgebra,
@@ -201,6 +203,65 @@ def test_involution_fixes_one_and_reverses_products():
             y = rng.choice(elems)
             assert sig(alg.mul_p(x, y)) == alg.mul_p(sig(y), sig(x))
             assert sig(sig(x)) == x
+
+
+HERMITIAN_ROWS = {"identity": [[1, 0], [0, 1]], "diag": [[1, 0], [0, -1]],
+                  "hyperbolic": [[0, 1], [1, 0]]}
+
+
+def test_involution_matrix_matches_closed_forms():
+    # every element, against h^-1 conj(X)^T h and g^-1 X^T g in matrix arithmetic
+    assert set(HERMITIAN_ROWS) == set(presets.H_NAMES)
+    for h_name, rows in HERMITIAN_ROWS.items():
+        aw = presets.unitary_m2_f3i(h_name)
+        c = aw.algebra.center
+        h = RingMatrix.from_rows(c, rows)
+        hinv = h.inverse()
+        for p in aw.algebra.elements_p():
+            x = RingMatrix(c, 2, 2, p)
+            assert aw.sigma_p(p) == (hinv * x.transpose().map_entries(c.sigma_p) * h).cells
+    a = presets.matrix_preset(3, 3)
+    aw = AlgebraWithInvolution(a, transpose_involution(a))
+    g = RingMatrix.identity(F3, 3)
+    ginv = g.inverse()
+    for p in a.elements_p():
+        assert aw.sigma_p(p) == (ginv * RingMatrix(F3, 3, 3, p).transpose() * g).cells
+
+
+def _quaternion_conjugation(p):
+    return presets.quaternion_preset(p)[1]
+
+
+def _m3_transpose():
+    m3 = presets.matrix_preset(3, 3)
+    return AlgebraWithInvolution(m3, transpose_involution(m3))
+
+
+SHIPPED_INVOLUTIONS = {
+    **{f"m2-f3i-{h}": partial(presets.unitary_m2_f3i, h) for h in presets.H_NAMES},
+    "m2-f5split": presets.unitary_m2_f5split,
+    **{f"deg1-{n}": partial(presets.degree_one_unitary, n) for n in presets.ETALE_NAMES},
+    **{f"quat-f{p}": partial(_quaternion_conjugation, p) for p in (3, 5, 7)},
+    "m3-f3-transpose": _m3_transpose,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_INVOLUTIONS))
+def test_involution_is_an_anti_automorphism_of_order_two(name):
+    aw = SHIPPED_INVOLUTIONS[name]()
+    alg = aw.algebra
+    sig = aw.sigma_p
+    assert sig(alg.one_p()) == alg.one_p()
+    elems = st.integers(min_value=0, max_value=alg.size - 1).map(alg.decode)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(elems, elems)
+    def check(x, y):
+        assert sig(sig(x)) == x
+        assert sig(alg.add_p(x, y)) == alg.add_p(sig(x), sig(y))
+        assert sig(alg.mul_p(x, y)) == alg.mul_p(sig(y), sig(x))
+
+    check()
 
 
 # -- structure-table round trips -------------------------------------------------

@@ -1,7 +1,10 @@
 """Command-line driver: config parsing with line-accurate errors, task
 execution, CHECK line and JSON report formats, exit codes, determinism."""
 
+import gc
+import io
 import json
+import weakref
 
 import pytest
 
@@ -260,8 +263,55 @@ def test_survey_deterministic(tmp_path, capsys):
     assert rec["metrics"]["f3i-unitary-d0"] == 4
 
 
-def test_jobs_flag_accepted_but_sequential(tmp_path, capsys):
+def test_removed_flags_exit_two(tmp_path, capsys):
     path = write(tmp_path, UNITARY_CFG)
-    assert cli.main(["run", "--config", path, "--jobs", "4"]) == 0
-    assert cli.main(["run", "--config", path, "--strict"]) == 0
-    capsys.readouterr()
+    assert cli.main(["run", "--config", path, "--jobs", "4"]) == 2
+    assert cli.main(["run", "--config", path, "--strict"]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_survey_bad_d_is_an_error_record(tmp_path, capsys):
+    cfg = "[ring]\nkind = prime\nmodulus = 3\n\n[tasks]\ntask = survey d=0,x\n"
+    path = write(tmp_path, cfg)
+    assert cli.main(["run", "--config", path]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith('CHECK survey ERROR detail="line 6: survey d must be an integer')
+
+
+def test_table_element_literal_is_an_error_record(tmp_path, capsys):
+    path = write(tmp_path, QUATERNION_CFG)
+    assert cli.main(["nrd", "--config", path, "x=1,0,0,y"]) == 1
+    out = capsys.readouterr().out
+    assert out == 'CHECK nrd ERROR detail="entry must be an integer, got \'y\'"\n'
+
+
+def test_element_literal_errors_carry_the_task_line(tmp_path, capsys):
+    cfg = UNITARY_CFG.replace("task = h90-all", "task = h90 a=1:0,0:0,0:0,z")
+    path = write(tmp_path, cfg)
+    assert cli.main(["run", "--config", path]) == 1
+    assert "detail=\"line 17: entry must be an integer, got 'z'\"" in capsys.readouterr().out
+    # a subcommand task has no config line, so its errors carry no prefix
+    path = write(tmp_path, UNITARY_CFG)
+    assert cli.main(["h90", "--config", path, "a=1:0,0:0,0:0,z"]) == 1
+    assert "detail=\"entry must be an integer, got 'z'\"" in capsys.readouterr().out
+
+
+def test_linear_functor_on_etale_center():
+    cfg = parse_config(UNITARY_CFG)
+    tasks = [("axioms", {"which": "additivity"}, 0),
+             ("functor", {"kind": "linear", "d": "1"}, 0)]
+    code, recs = cli.run(cfg, tasks=tasks, out=io.StringIO())
+    assert code == 0
+    assert recs[0].metrics == {"checked": 16, "failures": 0}
+    assert recs[1].metrics == {"order": 1}
+
+
+def test_run_keeps_no_reference_to_the_config():
+    cfg = parse_config(UNITARY_CFG)
+    tasks = [("np-witness", {"a": "1:0,1:0,0:0,1:0"}, 0),
+             ("nrd", {"x": "1:0,1:0,0:0,1:0"}, 0)]
+    assert cli.run(cfg, tasks=tasks, out=io.StringIO())[0] == 0
+    refs = [weakref.ref(cfg.algebra), weakref.ref(cfg.awi)]
+    del cfg
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
