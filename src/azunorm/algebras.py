@@ -521,8 +521,13 @@ class Involution:
     """A base-linear anti-automorphism of order 2, held as its matrix.
 
     The matrix acts on base coordinates in the standard basis and is the
-    only way the involution is applied.
+    only way the involution is applied.  An involution adjoint to a form
+    records it as form = (gram, conj): hermitian_involution sets the
+    hermitian h with the center's conjugation, adjoint_involution sets g
+    with conj None.  Table involutions and scalar extensions carry no form.
     """
+
+    form = None
 
     def __init__(self, algebra: Algebra, matrix: RingMatrix, validate=True):
         if matrix.ring != algebra.base or matrix.nrows != algebra.rank \
@@ -577,7 +582,9 @@ def hermitian_involution(algebra: MatrixAlgebra, h: RingMatrix) -> Involution:
         m = algebra.as_matrix_p(payload).transpose().map_entries(C.sigma_p)
         return (hinv * m * h).cells
 
-    return Involution(algebra, algebra.matrix_of(formula))
+    inv = Involution(algebra, algebra.matrix_of(formula))
+    inv.form = (h, C.sigma_p)
+    return inv
 
 
 def adjoint_involution(algebra: MatrixAlgebra, g: RingMatrix) -> Involution:
@@ -591,8 +598,10 @@ def adjoint_involution(algebra: MatrixAlgebra, g: RingMatrix) -> Involution:
     if not g.det().is_unit:
         raise NonUnitError("g must be invertible")
     ginv = g.inverse()
-    return Involution(algebra, algebra.matrix_of(
+    inv = Involution(algebra, algebra.matrix_of(
         lambda payload: (ginv * algebra.as_matrix_p(payload).transpose() * g).cells))
+    inv.form = (g, None)
+    return inv
 
 
 def transpose_involution(algebra: MatrixAlgebra) -> Involution:

@@ -7,6 +7,8 @@ engine: everything here is enumeration over small finite rings.
 
 from __future__ import annotations
 
+import itertools
+
 from .algebras import (Algebra, AlgebraElem, AlgebraWithInvolution,
                        MatrixAlgebra, extend_awi, nrd as algebra_nrd,
                        nrd_data, scalar_extension)
@@ -15,48 +17,92 @@ from .rings import ClassificationError, ExactAlgebraError, Ring, RingElem
 
 
 def enumerate_unitary(awi: AlgebraWithInvolution):
-    """All a with a*sigma(a) = 1, in canonical element order."""
+    """All a with a*sigma(a) = 1, in canonical element order.
+
+    An involution adjoint to a recorded form (from hermitian_involution or
+    adjoint_involution) is enumerated by orthonormal frames; table
+    involutions and scalar extensions, which carry no form, are swept.
+    """
     alg = awi.algebra
     one = alg.one_p()
     sig = awi.sigma_p
+    form = awi.involution.form
+    cands = alg.elements_p() if form is None else _frames_p(alg, *form)
     out = []
-    for p in alg.elements_p():
+    for p in cands:
         if alg.mul_p(p, sig(p)) == one:
             out.append(AlgebraElem(alg, p))
+        elif form is not None:
+            raise ExactAlgebraError("frame is not unitary under the involution matrix")
+    if form is not None:
+        out.sort(key=lambda e: alg.encode(e.payload))
     return out
+
+
+def _frames_p(alg: MatrixAlgebra, gram, conj):
+    """Payloads of all a with conj(a)^T * gram * a = gram, column by column.
+
+    Column j runs over every vector v of C^n with form(v, v) = gram_jj and
+    form(a_i, v) = gram_ij for the earlier columns a_i, where
+    form(v, w) = conj(v)^T * gram * w.  The involution constructors only
+    record gram with conj(gram)^T = +-gram, so form(v, a_i) = gram_ji
+    follows.  No field assumption is used.
+    """
+    C = alg.center
+    n = alg.n
+    h = gram.cells
+    add, mul = C.add_p, C.mul_p
+    zero = C.zero_p()
+    conj = conj or (lambda x: x)
+
+    def dot(r, v):
+        acc = zero
+        for x, y in zip(r, v):
+            acc = add(acc, mul(x, y))
+        return acc
+
+    # row[v] = conj(v)^T * gram, so that form(v, w) = dot(row[v], w)
+    row = {}
+    for v in itertools.product(list(C.elements_p()), repeat=n):
+        cv = [conj(x) for x in v]
+        row[v] = tuple(dot(cv, h[k::n]) for k in range(n))
+    frames = [()]
+    for j in range(n):
+        diag = [v for v, r in row.items() if dot(r, v) == h[j * n + j]]
+        frames = [cols + (v,) for cols in frames for v in diag
+                  if all(dot(row[c], v) == h[i * n + j] for i, c in enumerate(cols))]
+    for cols in frames:
+        yield tuple(cols[j][i] for i in range(n) for j in range(n))
 
 
 def enumerate_special(a, which: str):
     """Norm-one subgroups: 'SL' (nrd = 1), 'SU'/'SO' (unitary and nrd = 1).
 
-    'SL' accepts a bare algebra; the unitary flavours need an involution.
+    'SL' accepts a bare algebra and sweeps it; the unitary flavours need an
+    involution and filter enumerate_unitary.
     """
     if which not in ("SL", "SU", "SO"):
         raise ClassificationError(f"unknown special group {which!r}")
+    if which != "SL":
+        if not isinstance(a, AlgebraWithInvolution):
+            raise ClassificationError(f"{which} needs an involution")
+        one_c = a.center_ring.one_p()
+        return [u for u in enumerate_unitary(a) if a.nrd_p(u.payload) == one_c]
     if isinstance(a, AlgebraWithInvolution):
         alg = a.algebra
         C = a.center_ring
         nrd_p = a.nrd_p
-        sig = a.sigma_p
     else:
-        if which != "SL":
-            raise ClassificationError(f"{which} needs an involution")
         alg = a
         cd = alg.cdata
         C = cd.ring
 
         def nrd_p(p):
             return nrd_data(alg, p, cd).payload
-        sig = None
     one_c = C.one_p()
-    one = alg.one_p()
     out = []
     for p in alg.elements_p():
-        if not alg.is_unit_p(p):
-            continue
-        if which in ("SU", "SO") and alg.mul_p(p, sig(p)) != one:
-            continue
-        if nrd_p(p) == one_c:
+        if alg.is_unit_p(p) and nrd_p(p) == one_c:
             out.append(AlgebraElem(alg, p))
     return out
 

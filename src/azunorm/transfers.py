@@ -134,6 +134,23 @@ def etale_extension(c: QuadraticEtale) -> FiniteFreeExtension:
     return FiniteFreeExtension.from_quotient(c)
 
 
+def center_extension(C: QuadraticEtale, ext: FiniteFreeExtension) -> tuple:
+    """The extended etale center CT = C tensor total, free over C.
+
+    Returns (CT, extension CT over C), with the basis of ext in the first
+    coordinate, so its norm carries values in CT down to C.
+    """
+    CT = QuadraticEtale(ext.total, ext.total.elem(ext.embed_p(C.s)))
+
+    def embed_c(p):
+        return (ext.embed_p(p[0]), ext.embed_p(p[1]))
+
+    zt = ext.total.zero_p()
+    basis_c = [(b, zt) for b in ext.basis]
+    return CT, FiniteFreeExtension(C, CT, basis_c, embed_c,
+                                   name=f"center of {ext.name}")
+
+
 # -- norm inclusion -------------------------------------------------------
 
 @dataclass
@@ -160,8 +177,16 @@ def norm_inclusion_check(algebra: Algebra, ext: FiniteFreeExtension,
     if extended_nrd_set is None:
         extended_nrd_set = nrd_unit_image(alg_t)
     base_set = nrd_unit_image(algebra)
-    mapped = {ext.norm_p(z) for z in extended_nrd_set}
-    bad = sorted(mapped - base_set, key=ext.base.encode)
+    C = algebra.cdata.ring
+    norm_p = ext.norm_p
+    if isinstance(C, QuadraticEtale):
+        # reduced norms live in the centers: push down along CT over C
+        CT, ext_c = center_extension(C, ext)
+        if alg_t.cdata.ring != CT:
+            raise ClassificationError("extended center is not the extended etale center")
+        norm_p = ext_c.norm_p
+    mapped = {norm_p(z) for z in extended_nrd_set}
+    bad = sorted(mapped - base_set, key=C.encode)
     return NormInclusionReport(included=not bad, equal=mapped == base_set,
                                extended_norms=len(extended_nrd_set),
                                mapped_size=len(mapped),
@@ -238,15 +263,7 @@ def transfer_on_functor(kind: str, a, ext: FiniteFreeExtension, d: int,
         if a.kind != "unitary":
             raise ClassificationError("unitary transfer needs a unitary involution")
         C = a.center_ring
-    CT = QuadraticEtale(ext.total, ext.total.elem(ext.embed_p(C.s)))
-
-    def embed_c(p):
-        return (ext.embed_p(p[0]), ext.embed_p(p[1]))
-
-    zt = ext.total.zero_p()
-    basis_c = [(b, zt) for b in ext.basis]
-    ext_c = FiniteFreeExtension(C, CT, basis_c, embed_c,
-                                name=f"center of {ext.name}")
+    CT, ext_c = center_extension(C, ext)
     source = functor_unitary(a, ext, d)
     target = functor_unitary(a, FiniteFreeExtension.identity(ext.base), d)
     sigma_ok = True

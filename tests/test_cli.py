@@ -8,8 +8,9 @@ import weakref
 
 import pytest
 
-from azunorm import cli
+from azunorm import cli, presets
 from azunorm.cli import ConfigError, parse_config
+from azunorm.etale import QuadraticEtale
 
 UNITARY_CFG = """\
 # 2x2 matrices with a square root of -1 adjoined, conjugate-adjoint form
@@ -304,6 +305,36 @@ def test_linear_functor_on_etale_center():
     assert code == 0
     assert recs[0].metrics == {"checked": 16, "failures": 0}
     assert recs[1].metrics == {"order": 1}
+
+
+def test_norm_inclusion_on_etale_center():
+    cfg = parse_config(UNITARY_CFG)
+    tasks = [("axioms", {"which": "norm-inclusion"}, 0)]
+    code, recs = cli.run(cfg, tasks=tasks, out=io.StringIO())
+    assert code == 0
+    assert recs[0].status == "PASS"
+    assert recs[0].metrics == {"included": 1, "equal": 1, "extended": 64,
+                               "mapped": 8, "base": 8}
+    # both sides again by sweeps.  Base: determinants of the units of
+    # M2(C), C = F3[i].  Extended: the units of CT = C tensor F9, pushed to C
+    # by N(z) = z * frob(z), where frob acts on the F9 coordinates only.
+    alg = cfg.algebra
+    C = alg.center
+    base = set()
+    for p in alg.elements_p():
+        det = C.sub_p(C.mul_p(p[0], p[3]), C.mul_p(p[1], p[2]))
+        if C.is_unit_p(det):
+            base.add(det)
+    nine = presets.f9()
+    CT = QuadraticEtale(nine, nine.from_int(-1))
+    extended = [z for z in CT.elements_p() if CT.is_unit_p(z)]
+    mapped = set()
+    for z in extended:
+        x, y = CT.mul_p(z, tuple(nine.pow_p(c, 3) for c in z))
+        assert x[1] == y[1] == nine.base.zero_p()
+        mapped.add((x[0], y[0]))
+    assert (len(extended), len(mapped), len(base)) == (64, 8, 8)
+    assert mapped == base
 
 
 def test_run_keeps_no_reference_to_the_config():

@@ -2,14 +2,16 @@
 finite abelian quotients with their invariant factors."""
 
 import pytest
-from order_oracles import sl_order, special_unitary_order, unitary_order
+from order_oracles import gl_order, sl_order, special_unitary_order, unitary_order
 
-from azunorm import presets
-from azunorm.algebras import AlgebraWithInvolution, MatrixAlgebra, transpose_involution
+from azunorm import groups, presets
+from azunorm.algebras import (AlgebraWithInvolution, MatrixAlgebra,
+                              adjoint_involution, hermitian_involution,
+                              transpose_involution)
 from azunorm.groups import (FiniteAbelianPresentation, enumerate_special,
                             enumerate_unitary, functor_linear, functor_unitary,
                             nrd_image, nrd_unit_image)
-from azunorm.rings import ExactAlgebraError, PrimeField, ProductRing, Zmod
+from azunorm.rings import ExactAlgebraError, PrimeField, ProductRing, RingMatrix, Zmod
 from azunorm.transfers import FiniteFreeExtension, etale_extension
 
 F3 = PrimeField(3)
@@ -99,6 +101,106 @@ def test_orthogonal_group_replay():
     for g in so:
         for h in so:
             assert a.mul_p(g.payload, h.payload) in members
+
+
+# -- frames against the sweep ----------------------------------------------------
+
+def _symplectic_m2_f3():
+    a = MatrixAlgebra(F3, 2)
+    g = RingMatrix.from_rows(F3, [[F3.zero, F3.one], [-F3.one, F3.zero]])
+    return AlgebraWithInvolution(a, adjoint_involution(a, g))
+
+
+def _transpose_m3_f3():
+    a = MatrixAlgebra(F3, 3)
+    return AlgebraWithInvolution(a, transpose_involution(a))
+
+
+FRAME_CASES = ([(f"m2-f3i-{h}", lambda h=h: presets.unitary_m2_f3i(h))
+                for h in presets.H_NAMES]
+               + [("m3-f3-transpose", _transpose_m3_f3),
+                  ("m2-f3-symplectic", _symplectic_m2_f3)]
+               + [(f"deg1-{n}", lambda n=n: presets.degree_one_unitary(n))
+                  for n in presets.ETALE_NAMES])
+
+
+def _swept_unitary(aw):
+    alg = aw.algebra
+    one = alg.one_p()
+    return [p for p in alg.elements_p() if alg.mul_p(p, aw.sigma_p(p)) == one]
+
+
+@pytest.mark.parametrize("name,build", FRAME_CASES, ids=[n for n, _ in FRAME_CASES])
+def test_frames_equal_the_sweep(name, build):
+    aw = build()
+    assert aw.involution.form is not None
+    swept = _swept_unitary(aw)
+    assert [u.payload for u in enumerate_unitary(aw)] == swept
+    onec = aw.center_ring.one_p()
+    special = [p for p in swept if aw.nrd_p(p) == onec]
+    which = "SU" if aw.kind == "unitary" else "SO"
+    assert [u.payload for u in enumerate_special(aw, which)] == special
+
+
+def test_frame_orders_match_the_oracles():
+    assert len(enumerate_unitary(_symplectic_m2_f3())) == sl_order(2, 3)
+    # frames only: the sweep of M2(f5split) visits 390,625 elements
+    assert len(enumerate_unitary(presets.unitary_m2_f5split())) == gl_order(2, 5) == 480
+
+
+def test_frames_visit_no_algebra_elements(monkeypatch):
+    c = presets.etale_preset("f3i")
+    a = MatrixAlgebra(c, 2)
+    aw = AlgebraWithInvolution(a, hermitian_involution(a, RingMatrix.identity(c, 2)))
+
+    def no_sweep():
+        raise AssertionError("swept the algebra")
+    monkeypatch.setattr(a, "elements_p", no_sweep)
+    assert len(enumerate_unitary(aw)) == unitary_order(2, 3)
+    assert len(enumerate_special(aw, "SU")) == special_unitary_order(2, 3)
+
+
+def test_table_involution_keeps_the_sweep(monkeypatch):
+    table, aw = presets.quaternion_preset(3)
+    assert aw.involution.form is None
+    swept = _swept_unitary(aw)
+
+    def no_frames(*args):
+        raise AssertionError("frame search on a table involution")
+    monkeypatch.setattr(groups, "_frames_p", no_frames)
+    visits = []
+    sweep = table.elements_p
+
+    def counted():
+        for p in sweep():
+            visits.append(p)
+            yield p
+    monkeypatch.setattr(table, "elements_p", counted)
+    assert [u.payload for u in enumerate_unitary(aw)] == swept
+    assert len(visits) == table.size
+
+
+def test_frames_are_checked_through_the_involution_matrix():
+    # a recorded form that disagrees with the matrix: the symplectic frames
+    # are not orthogonal, and the re-check through sigma must say so
+    a = MatrixAlgebra(F3, 2)
+    inv = transpose_involution(a)
+    inv.form = _symplectic_m2_f3().involution.form
+    with pytest.raises(ExactAlgebraError):
+        enumerate_unitary(AlgebraWithInvolution(a, inv))
+
+
+def test_unit_norm_image_matches_a_sweep():
+    for alg in (presets.matrix_preset(3, 2),
+                MatrixAlgebra(presets.etale_preset("f3i"), 2),
+                MatrixAlgebra(Zmod(9), 2)):
+        C = alg.center
+        dets = set()
+        for p in alg.elements_p():
+            det = C.sub_p(C.mul_p(p[0], p[3]), C.mul_p(p[1], p[2]))
+            if C.is_unit_p(det):
+                dets.add(det)
+        assert nrd_unit_image(alg) == dets
 
 
 # -- abelian presentations -------------------------------------------------------
