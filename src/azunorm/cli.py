@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from functools import cached_property
 
 from . import presets
@@ -554,6 +555,11 @@ def run(cfg: ExperimentConfig, tasks=None, seed=None, out=None):
             rec = run_task(name, params, cfg, use_seed, lineno)
         except ExactAlgebraError as e:
             rec = ReportRecord(name, "ERROR", {}, detail=str(e))
+        except Exception as e:
+            # a bug in one task must not lose the records of the others
+            traceback.print_exc(file=sys.stderr)
+            rec = ReportRecord(name, "ERROR", {},
+                               detail=f"internal error: {type(e).__name__}: {e}")
         records.append(rec)
         out.write(rec.check_line() + "\n")
         if rec.status != "PASS":

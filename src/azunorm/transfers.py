@@ -9,7 +9,6 @@ over product extensions, and the polynomial-ring base-change check.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
 
@@ -48,29 +47,53 @@ class FiniteFreeExtension:
         self.coords_p = coords_p
 
     def _check_embedding_hom(self):
-        base, tot = self.base, self.total
-        elems = list(base.elements_p())
-        if len(elems) ** 2 <= _COORD_GUARD:
-            pairs = itertools.product(elems, elems)
-        else:
-            pairs = ((elems[i], elems[-1 - i]) for i in range(200))
-        for a, b in pairs:
-            if self.embed_p(base.add_p(a, b)) != tot.add_p(self.embed_p(a),
-                                                           self.embed_p(b)):
-                raise ExactAlgebraError("embedding is not additive")
-            if self.embed_p(base.mul_p(a, b)) != tot.mul_p(self.embed_p(a),
-                                                           self.embed_p(b)):
-                raise ExactAlgebraError("embedding is not multiplicative")
+        """Raise unless embed_p is a ring homomorphism base -> total.
+
+        S is a greedy set of additive generators of the base: an element
+        joins S only if the span of the earlier ones misses it.  Checking
+        f(a + g) = f(a) + f(g) for every a and every g in S gives
+        f(a + b) = f(a) + f(b) for all a, b, by induction on the length of
+        b as a sum of generators.  Checking f(g h) = f(g) f(h) on S x S then
+        gives multiplicativity everywhere, since both sides are additive in
+        each argument.  Unitality is checked by the caller.
+        """
+        base, tot, f = self.base, self.total, self.embed_p
+        gens = []
+        span = {base.zero_p()}
+        for a in base.elements_p():
+            if a in span:
+                continue
+            gens.append(a)
+            fresh = span
+            while fresh:
+                fresh = {base.add_p(x, a) for x in fresh} - span
+                span |= fresh
+        for a in base.elements_p():
+            fa = f(a)
+            for g in gens:
+                if f(base.add_p(a, g)) != tot.add_p(fa, f(g)):
+                    raise ExactAlgebraError("embedding is not additive")
+        for g in gens:
+            for h in gens:
+                if f(base.mul_p(g, h)) != tot.mul_p(f(g), f(h)):
+                    raise ExactAlgebraError("embedding is not multiplicative")
 
     def _build_coord_table(self):
         base, tot = self.base, self.total
         if base.size ** self.rank > _COORD_GUARD:
             raise ExactAlgebraError("extension too large for coordinate table")
+        elems = list(base.elements_p())
+        # one column per basis element: (c, embed(c) * b) for every c
+        cols = [[(c, tot.mul_p(self.embed_p(c), b)) for c in elems]
+                for b in self.basis]
+        # combos with the last coordinate varying fastest; each sum is one
+        # addition away from the sum of its prefix
+        layer = [((), tot.zero_p())]
+        for col in cols:
+            layer = [(combo + (c,), tot.add_p(acc, v))
+                     for combo, acc in layer for c, v in col]
         table = {}
-        for combo in itertools.product(list(base.elements_p()), repeat=self.rank):
-            acc = tot.zero_p()
-            for c, b in zip(combo, self.basis):
-                acc = tot.add_p(acc, tot.mul_p(self.embed_p(c), b))
+        for combo, acc in layer:
             if acc in table:
                 raise ExactAlgebraError("basis is not free: coordinate collision")
             table[acc] = combo

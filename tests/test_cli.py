@@ -9,6 +9,7 @@ import weakref
 import pytest
 
 from azunorm import cli, presets
+from azunorm.algebras import TableAlgebra
 from azunorm.cli import ConfigError, parse_config
 from azunorm.etale import QuadraticEtale
 
@@ -66,6 +67,25 @@ involution = none
 
 [tasks]
 task = verify-azumaya
+"""
+
+
+QUATERNION_F5_ETALE_CFG = """\
+[ring]
+kind = prime
+modulus = 5
+
+[etale]
+s = 2
+
+[algebra]
+form = quaternion
+a = -1
+b = -1
+involution = conjugation
+
+[tasks]
+task = axioms which=norm-inclusion
 """
 
 
@@ -346,3 +366,40 @@ def test_run_keeps_no_reference_to_the_config():
     del cfg
     gc.collect()
     assert [r() for r in refs] == [None, None]
+
+
+def test_internal_error_is_an_error_record(monkeypatch):
+    cfg = parse_config(UNITARY_CFG)
+    run_task = cli.run_task
+
+    def flaky(name, params, cfg, seed, lineno):
+        if lineno == 2:
+            raise TypeError("unsupported operand")
+        return run_task(name, params, cfg, seed, lineno)
+    monkeypatch.setattr(cli, "run_task", flaky)
+    tasks = [("nrd", {"x": "1:0,1:0,0:0,1:0"}, 1),
+             ("nrd", {"x": "1:0,1:0,0:0,1:0"}, 2),
+             ("nrd", {"x": "1:0,1:0,0:0,1:0"}, 3)]
+    out = io.StringIO()
+    code, recs = cli.run(cfg, tasks=tasks, out=out)
+    assert code == 1
+    assert [r.status for r in recs] == ["PASS", "ERROR", "PASS"]
+    assert recs[1].detail == "internal error: TypeError: unsupported operand"
+    assert len(out.getvalue().splitlines()) == 3
+
+
+def test_norm_inclusion_on_quaternions_over_f5_stops_early(monkeypatch):
+    visits = []
+    is_unit = TableAlgebra.is_unit_p
+
+    def counted(self, x):
+        visits.append(x)
+        return is_unit(self, x)
+    monkeypatch.setattr(TableAlgebra, "is_unit_p", counted)
+    cfg = parse_config(QUATERNION_F5_ETALE_CFG)
+    code, recs = cli.run(cfg, out=io.StringIO())
+    assert code == 0
+    assert recs[0].check_line() == (
+        "CHECK axioms PASS base=4 equal=1 extended=24 included=1 mapped=4")
+    # the extended table has 25^4 = 390,625 elements
+    assert len(visits) < 1000

@@ -2,11 +2,13 @@
 finite abelian quotients with their invariant factors."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from order_oracles import gl_order, sl_order, special_unitary_order, unitary_order
 
 from azunorm import groups, presets
-from azunorm.algebras import (AlgebraWithInvolution, MatrixAlgebra,
-                              adjoint_involution, hermitian_involution,
+from azunorm.algebras import (AlgebraElem, AlgebraWithInvolution, MatrixAlgebra,
+                              TableAlgebra, adjoint_involution,
+                              hermitian_involution, nrd, scalar_extension,
                               transpose_involution)
 from azunorm.groups import (FiniteAbelianPresentation, enumerate_special,
                             enumerate_unitary, functor_linear, functor_unitary,
@@ -203,6 +205,72 @@ def test_unit_norm_image_matches_a_sweep():
         assert nrd_unit_image(alg) == dets
 
 
+# the quaternions over F_p, and their extension by the etale preset with
+# the same base, which is a field of p^2 elements
+QUAT_EXTENSIONS = [(3, "f3i"), (5, "f5sqrt2"), (7, "f7sqrt3")]
+
+
+def _norm_form_image(C, coeffs):
+    """Unit values of sum c_i x_i^2 over every x in C^4, one coordinate at
+    a time: the values reachable after coordinate i are the earlier ones
+    plus every c_i x^2."""
+    vals = {C.zero_p()}
+    for c in coeffs:
+        terms = {C.mul_p(c, C.mul_p(x, x)) for x in C.elements_p()}
+        vals = {C.add_p(v, t) for v in vals for t in terms}
+    return {v for v in vals if C.is_unit_p(v)}
+
+
+@pytest.mark.parametrize("p,etale", QUAT_EXTENSIONS)
+def test_unit_norm_image_of_tables_matches_a_full_sweep(p, etale):
+    table, _ = presets.quaternion_preset(p)
+    ext_table, _ = scalar_extension(table, etale_extension(presets.etale_preset(etale)))
+    # the base table, element by element
+    swept = {nrd(table, AlgebraElem(table, x)).payload
+             for x in table.elements_p() if table.is_unit_p(x)}
+    assert nrd_unit_image(table) == swept
+    # (-1, -1) quaternions: nrd(x0 + x1 i + x2 j + x3 k) = x0^2 + x1^2 + x2^2
+    # + x3^2, and x is a unit exactly when nrd(x) is
+    for alg in (table, ext_table):
+        C = alg.cdata.ring
+        assert C == alg.base
+        one = C.one_p()
+        for k, x in enumerate(alg.elements_p()):
+            if k == 500:
+                break
+            form = C.zero_p()
+            for c in x:
+                form = C.add_p(form, C.mul_p(c, c))
+            assert nrd(alg, AlgebraElem(alg, x)).payload == form
+        assert nrd_unit_image(alg) == _norm_form_image(C, [one] * 4)
+    assert _norm_form_image(table.base, [table.base.one_p()] * 4) == swept
+
+
+def test_unit_norm_image_stops_once_it_saturates(monkeypatch):
+    visits = []
+    is_unit = TableAlgebra.is_unit_p
+
+    def counted(self, x):
+        visits.append(x)
+        return is_unit(self, x)
+    monkeypatch.setattr(TableAlgebra, "is_unit_p", counted)
+    expected = {"f3i": 33, "f5sqrt2": 135, "f7sqrt3": 166}
+    for p, etale in QUAT_EXTENSIONS:
+        table, _ = presets.quaternion_preset(p)
+        ext_table, _ = scalar_extension(table, etale_extension(presets.etale_preset(etale)))
+        visits.clear()
+        assert len(nrd_unit_image(ext_table)) == p * p - 1
+        assert len(visits) == expected[etale]
+    # a proper-subgroup image is swept to the end: with every norm read as 1,
+    # the image {1} never fills the two units of F3
+    table, _ = presets.quaternion_preset(3)
+    one = table.base.one
+    monkeypatch.setattr(groups, "algebra_nrd", lambda alg, x: one)
+    visits.clear()
+    assert nrd_unit_image(table) == {one.payload}
+    assert len(visits) == table.size == 81
+
+
 # -- abelian presentations -------------------------------------------------------
 
 def test_invariant_factors_cyclic():
@@ -290,3 +358,60 @@ def test_unitary_functor_rejects_first_kind():
     from azunorm.rings import ClassificationError
     with pytest.raises(ClassificationError):
         functor_unitary(aw, FiniteFreeExtension.identity(F3), 1)
+
+
+# -- the subgroup check against an all-pairs closure -------------------------------
+
+SUBGROUP_RINGS = [Zmod(9), presets.etale_preset("f3i"), presets.etale_preset("f5split"),
+                  ProductRing([F3, presets.etale_preset("f3i")])]
+
+
+def _all_pairs_closure(ring, subset):
+    out = set(subset)
+    while True:
+        more = {ring.mul_p(a, b) for a in out for b in out} - out
+        if not more:
+            return out
+        out |= more
+
+
+def _accepts(build):
+    try:
+        build()
+    except ExactAlgebraError:
+        return False
+    return True
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_subgroup_check_matches_all_pairs_closure(data):
+    ring = data.draw(st.sampled_from(SUBGROUP_RINGS), label="ring")
+    units = [u.payload for u in ring.units()]
+    one = ring.one_p()
+    others = [u for u in units if u != one]
+    subset = {one} | data.draw(st.sets(st.sampled_from(others), max_size=4), label="picked")
+    if data.draw(st.booleans(), label="close"):
+        subset = _all_pairs_closure(ring, subset)
+    toggle = data.draw(st.sampled_from([None] + others), label="toggle")
+    if toggle is not None:
+        subset ^= {toggle}
+    # units only: closed under products means a subgroup
+    closed = all(ring.mul_p(a, b) in subset for a in subset for b in subset)
+    assert _accepts(lambda: FiniteAbelianPresentation(ring, subset)) == closed
+    assert _accepts(lambda: FiniteAbelianPresentation(ring, units, subset)) == closed
+    # on 1x1 matrices nrd is the entry, so the value set is the subset
+    alg = MatrixAlgebra(ring, 1)
+    elems = [AlgebraElem(alg, (x,)) for x in subset]
+    assert _accepts(lambda: nrd_image(elems)) == closed
+    if closed:
+        assert {v.payload for v in nrd_image(elems)} == subset
+
+
+def test_subgroup_check_rejects_non_units():
+    z9 = Zmod(9)
+    units = [z9.int_p(k) for k in (1, 2, 4, 5, 7, 8)]
+    with pytest.raises(ExactAlgebraError, match="non-unit"):
+        FiniteAbelianPresentation(z9, units + [z9.int_p(3)])
+    with pytest.raises(ExactAlgebraError, match="1 is not a member"):
+        FiniteAbelianPresentation(z9, units[1:])

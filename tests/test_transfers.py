@@ -7,11 +7,12 @@ import random
 import pytest
 
 from azunorm import presets
-from azunorm.rings import ClassificationError, NonUnitError, PrimeField, ShapeError, Zmod
+from azunorm.rings import (ClassificationError, ExactAlgebraError, NonUnitError,
+                           PrimeField, ShapeError, Zmod)
 from azunorm.transfers import (FiniteFreeExtension, PolyExtension,
                                additivity_check, base_change_check,
-                               etale_extension, norm_inclusion_check,
-                               transfer_on_functor)
+                               center_extension, etale_extension,
+                               norm_inclusion_check, transfer_on_functor)
 
 
 def test_identity_extension_norm_is_identity():
@@ -60,6 +61,42 @@ def test_product_extension_norm_splits():
     for u in prod.total.units():
         p1, p2 = u.payload
         assert prod.norm_p(u.payload) == f3.mul_p(e1.norm_p(p1), e2.norm_p(p2))
+
+
+def test_embedding_check_rejects_a_non_multiplicative_map():
+    f9 = presets.f9()
+    zero = f9.base.zero_p()
+
+    def first_coordinate(p):
+        return (p[0], zero)
+    with pytest.raises(ExactAlgebraError, match="not multiplicative"):
+        FiniteFreeExtension(f9, f9, [f9.one_p()], first_coordinate,
+                            coords_p=lambda p: (p,))
+
+
+def test_embedding_check_sees_every_element():
+    # wrong at one element only, so a check on a sample of pairs can miss it
+    f503 = PrimeField(503)
+    bad = f503.int_p(252)
+
+    def embed(p):
+        return f503.int_p(253) if p == bad else p
+    with pytest.raises(ExactAlgebraError, match="embedding is not"):
+        FiniteFreeExtension(f503, f503, [f503.one_p()], embed,
+                            coords_p=lambda p: (p,))
+
+
+def test_coordinate_table_matches_the_per_combo_sum():
+    c = presets.etale_preset("f9gen")
+    CT, ext_c = center_extension(c, etale_extension(c))
+    table = {}
+    for combo in itertools.product(list(c.elements_p()), repeat=ext_c.rank):
+        acc = CT.zero_p()
+        for x, b in zip(combo, ext_c.basis):
+            acc = CT.add_p(acc, CT.mul_p(ext_c.embed_p(x), b))
+        table[acc] = combo
+    assert len(table) == CT.size == 6561
+    assert list(ext_c._table.items()) == list(table.items())
 
 
 def test_norm_inclusion_frozen_counts():
