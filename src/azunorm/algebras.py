@@ -524,7 +524,7 @@ class Involution:
     only way the involution is applied.  An involution adjoint to a form
     records it as form = (gram, conj): hermitian_involution sets the
     hermitian h with the center's conjugation, adjoint_involution sets g
-    with conj None.  Table involutions and scalar extensions carry no form.
+    with conj None; extend_awi keeps it.  Table involutions carry no form.
     """
 
     form = None
@@ -998,39 +998,36 @@ def scalar_extension(algebra: Algebra, ext) -> tuple:
         raise ShapeError("extension base does not match the algebra")
     T = ext.total
     emb = ext.embed_p
+    # slot maps one payload slot: a base coordinate, or a center entry
     if isinstance(algebra, TableAlgebra):
         gamma = tuple(tuple(tuple(emb(c) for c in vec) for vec in row)
                       for row in algebra.gamma)
-        out = TableAlgebra(T, gamma, algebra.unit_index, validate=False)
-
-        def mp(payload):
-            return tuple(emb(c) for c in payload)
-
-        return out, mp
-    C = algebra.center
-    if isinstance(C, QuadraticEtale):
-        CT = QuadraticEtale(T, T.elem(emb(C.s)))
-
-        def embc(c):
-            return (emb(c[0]), emb(c[1]))
+        out, slot = TableAlgebra(T, gamma, algebra.unit_index, validate=False), emb
+    elif isinstance(algebra.center, QuadraticEtale):
+        CT, slot = algebra.center.extend_scalars(T, emb)
+        out = MatrixAlgebra(CT, algebra.n)
     else:
-        CT = T
-
-        def embc(c):
-            return emb(c)
-    out = MatrixAlgebra(CT, algebra.n)
+        out, slot = MatrixAlgebra(T, algebra.n), emb
 
     def mp(payload):
-        return tuple(embc(c) for c in payload)
+        return tuple(slot(c) for c in payload)
 
     return out, mp
 
 
 def extend_awi(awi: AlgebraWithInvolution, ext) -> tuple:
-    """Scalar-extend an algebra with involution; returns (awi_T, payload map)."""
+    """Scalar-extend an algebra with involution; returns (awi_T, payload map).
+
+    A recorded form extends entrywise and its constructor rebuilds the involution.
+    """
     alg_t, mp = scalar_extension(awi.algebra, ext)
-    mat = awi.involution.matrix.map_entries(ext.embed_p, ext.total)
-    inv_t = Involution(alg_t, matrix=mat, validate=False)
+    form = awi.involution.form
+    if form is None:
+        mat = awi.involution.matrix.map_entries(ext.embed_p, ext.total)
+        inv_t = Involution(alg_t, matrix=mat, validate=False)
+    else:
+        build = adjoint_involution if form[1] is None else hermitian_involution
+        inv_t = build(alg_t, RingMatrix(alg_t.center, alg_t.n, alg_t.n, mp(form[0].cells)))
     return AlgebraWithInvolution(alg_t, inv_t, validate=True), mp
 
 

@@ -8,8 +8,10 @@ x^2 - s*y^2.
 
 from __future__ import annotations
 
-from .rings import (NonUnitError, Poly, PolyQuotient, RingElem, SearchExhausted,
-                    ShapeError)
+from functools import cached_property
+
+from .rings import (ExactAlgebraError, NonUnitError, Poly, PolyQuotient, RingElem,
+                    SearchExhausted, ShapeError)
 
 
 class QuadraticEtale(PolyQuotient):
@@ -68,16 +70,36 @@ class QuadraticEtale(PolyQuotient):
         # a^{-1} = sigma(a) / norm(a)
         return (base.mul_p(a[0], ninv), base.mul_p(base.neg_p(a[1]), ninv))
 
+    def extend_scalars(self, total, embed_p) -> tuple:
+        """(total[x]/(x^2 - embed_p(s)), c |-> c tensor 1) along embed_p: base -> total."""
+        def embed_c(c):
+            return (embed_p(c[0]), embed_p(c[1]))
+
+        return QuadraticEtale(total, total.elem(embed_p(self.s))), embed_c
+
     # -- unitary scalars and the constructive Hilbert 90 ------------------
+    @cached_property
+    def _unitary_payloads(self) -> tuple:
+        base = self.base
+        roots = {}
+        for x in base.elements_p():
+            roots.setdefault(base.mul_p(x, x), []).append(x)
+        one = base.one_p()
+        out = []
+        for y in base.elements_p():
+            want = base.add_p(one, base.mul_p(self.s, base.mul_p(y, y)))
+            out.extend((x, y) for x in roots.get(want, ()))
+        if any(self.norm_p(p) != one for p in out):
+            raise ExactAlgebraError("circle member does not have norm 1")
+        return tuple(out)
+
     def unitary_scalars(self):
-        """All c with c*sigma(c) = 1, in canonical order (cached)."""
-        got = getattr(self, "_unitary_cache", None)
-        if got is None:
-            one = self.base.one_p()
-            got = [RingElem(self, p) for p in self.elements_p()
-                   if self.norm_p(p) == one]
-            self._unitary_cache = got
-        return list(got)
+        """All c with c*sigma(c) = 1, in canonical order, built once per ring.
+
+        Each x goes under x*x, then each y reads the fibre over 1 + s*y*y.  Both
+        run in elements_p (encode) order and y is the high digit, so no sort.
+        """
+        return [RingElem(self, p) for p in self._unitary_payloads]
 
     def hilbert90_scalar(self, lam: RingElem) -> RingElem:
         """A unit c with c * sigma(c)^{-1} = lam, for norm-one lam.

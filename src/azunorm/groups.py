@@ -20,8 +20,8 @@ def enumerate_unitary(awi: AlgebraWithInvolution):
     """All a with a*sigma(a) = 1, in canonical element order.
 
     An involution adjoint to a recorded form (from hermitian_involution or
-    adjoint_involution) is enumerated by orthonormal frames; table
-    involutions and scalar extensions, which carry no form, are swept.
+    adjoint_involution, also after extend_awi) is enumerated by orthonormal
+    frames; table involutions, which carry no form, are swept.
     """
     alg = awi.algebra
     one = alg.one_p()
@@ -359,16 +359,15 @@ def functor_unitary(a, ext, d: int) -> FiniteAbelianPresentation:
     if d < 0:
         raise ExactAlgebraError("d must be nonnegative")
     if isinstance(a, QuadraticEtale):
-        CT = QuadraticEtale(ext.total, ext.total.elem(ext.embed_p(a.s)))
-        members = [c.payload for c in CT.unitary_scalars()]
+        CT, _ = a.extend_scalars(ext.total, ext.embed_p)
         nrdset = {CT.one_p()}
     else:
         if a.kind != "unitary":
             raise ClassificationError("unitary functor needs a unitary involution")
         awi_t, _ = extend_awi(a, ext)
         CT = awi_t.center_ring
-        members = [c.payload for c in CT.unitary_scalars()]
         nrdset = {awi_t.nrd_p(u.payload) for u in enumerate_unitary(awi_t)}
+    members = [c.payload for c in CT.unitary_scalars()]
     powd = {CT.pow_p(g, d) for g in members}
     sub = {CT.mul_p(n, p) for n in nrdset for p in powd}
     return FiniteAbelianPresentation(CT, members, sub)

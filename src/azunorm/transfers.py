@@ -163,11 +163,7 @@ def center_extension(C: QuadraticEtale, ext: FiniteFreeExtension) -> tuple:
     Returns (CT, extension CT over C), with the basis of ext in the first
     coordinate, so its norm carries values in CT down to C.
     """
-    CT = QuadraticEtale(ext.total, ext.total.elem(ext.embed_p(C.s)))
-
-    def embed_c(p):
-        return (ext.embed_p(p[0]), ext.embed_p(p[1]))
-
+    CT, embed_c = C.extend_scalars(ext.total, ext.embed_p)
     zt = ext.total.zero_p()
     basis_c = [(b, zt) for b in ext.basis]
     return CT, FiniteFreeExtension(C, CT, basis_c, embed_c,
@@ -416,6 +412,8 @@ def base_change_check(ext: PolyExtension, samples: int, seed: int
     a t-constant unit the element's inverse is constructed and re-multiplied
     to 1, and when it is not a unit the inverse construction must fail.
     """
+    if samples < 1:
+        raise ExactAlgebraError(f"samples must be at least 1, got {samples}")
     base = ext.base
     if not base.is_reduced():
         raise ClassificationError("base must be reduced")

@@ -1,12 +1,17 @@
 """Command-line driver: config parsing with line-accurate errors, task
 execution, CHECK line and JSON report formats, exit codes, determinism."""
 
+import contextlib
 import gc
 import io
 import json
+import random
+import tempfile
 import weakref
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from azunorm import cli, presets
 from azunorm.algebras import TableAlgebra
@@ -403,3 +408,136 @@ def test_norm_inclusion_on_quaternions_over_f5_stops_early(monkeypatch):
         "CHECK axioms PASS base=4 equal=1 extended=24 included=1 mapped=4")
     # the extended table has 25^4 = 390,625 elements
     assert len(visits) < 1000
+
+
+def test_base_change_rejects_nonpositive_samples(tmp_path, capsys):
+    path = write(tmp_path, UNITARY_CFG)
+    for samples in ("-3", "0"):
+        assert cli.main(["axioms", "--config", path, "which=base-change",
+                         f"samples={samples}"]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith('CHECK axioms ERROR detail="samples must be at least 1')
+
+
+Z9_DEGREE_ONE_CFG = """\
+[ring]
+kind = zmod
+modulus = 9
+
+[etale]
+s = 2
+
+[algebra]
+form = split
+degree = 1
+involution = hermitian
+h = identity
+
+[tasks]
+task = functor kind=unitary ext=identity d=1
+task = functor kind=unitary ext=etale d=0
+task = functor kind=unitary ext=etale d=1
+task = functor kind=unitary ext=etale d=0 algebra=no
+task = functor kind=unitary ext=etale d=2 algebra=no
+task = functor kind=unitary ext=identity d=0 algebra=no
+"""
+
+
+def _functor_record(order, divisors):
+    return ('{"task": "functor", "status": "PASS", "metrics": {"order": %d}, '
+            '"detail": "divisors = %s", "witness": null}\n' % (order, divisors))
+
+
+def test_unitary_functor_report_bytes_on_z9(tmp_path, capsys):
+    path = write(tmp_path, Z9_DEGREE_ONE_CFG)
+    report = tmp_path / "r.jsonl"
+    assert cli.main(["run", "--config", path, "--report", str(report)]) == 0
+    capsys.readouterr()
+    want = (_functor_record(1, "[]") * 3 + _functor_record(72, "[3, 24]")
+            + _functor_record(2, "[2]") + _functor_record(12, "[12]"))
+    assert report.read_text() == want
+
+
+@pytest.mark.parametrize("h", ["identity", "diag(1,-1)", "0,1;1,0"])
+def test_unitary_functor_report_bytes_on_m2_f3i(tmp_path, capsys, h):
+    cfg = UNITARY_CFG.replace("h = identity", f"h = {h}")
+    path = write(tmp_path, cfg)
+    report = tmp_path / "r.jsonl"
+    for d in ("0", "1", "2"):
+        assert cli.main(["functor", "--config", path, "--report", str(report),
+                         "kind=unitary", "ext=identity", f"d={d}"]) == 0
+        assert capsys.readouterr().out == "CHECK functor PASS order=1\n"
+        assert report.read_text() == _functor_record(1, "[]")
+
+
+# -- fuzzed task lines ---------------------------------------------------------------
+
+FUZZ_CFGS = {
+    "f3-degree-one": UNITARY_CFG.replace("degree = 2", "degree = 1").split("[tasks]")[0],
+    "z9-degree-one": Z9_DEGREE_ONE_CFG.split("[tasks]")[0],
+    "quaternions-f3": QUATERNION_F5_ETALE_CFG.replace("modulus = 5", "modulus = 3")
+                                             .replace("s = 2", "s = -1").split("[tasks]")[0],
+}
+
+# values each key takes when it is well formed; every integer stays small,
+# so no task scales up
+FUZZ_INTS = ["0", "1", "2", "3", "-1"]
+FUZZ_LITERALS = ["1", "0", "2", "0:1", "2:1", "1:1", "1,0,0,0", "0,1,1,0"]
+FUZZ_VALUES = {
+    "axioms.which": ["norm-inclusion", "additivity", "base-change"],
+    "groups.which": ["U", "SU", "SO", "SL", "U,SU", "U,SO,SL"],
+    "kind": ["linear", "unitary"],
+    "ext": ["identity", "etale"],
+    "algebra": ["yes", "no"],
+    "poly": ["x2-1", "x2-tx-1"],
+    "d": FUZZ_INTS + ["0,1"], "samples": FUZZ_INTS, "seed": FUZZ_INTS,
+    "a": FUZZ_LITERALS, "x": FUZZ_LITERALS,
+}
+# malformed values, and the values of every other key
+FUZZ_OTHER = sorted({"", "bogus", "1x", "--1", "0x10", "1.5", "+2", "-3", "1:2:3", "a",
+                     "1,,2", ",", "9999999999", "x:y"}
+                    | {v for vals in FUZZ_VALUES.values() for v in vals})
+# the key without which a task can only report an error
+FUZZ_NEEDS = {"axioms": "which", "groups": "which", "nrd": "x", "h90": "a", "np-witness": "a"}
+
+
+def _task_params(rng, name):
+    """Parameters for one task line: its own keys, with a well-formed value
+    three times in four, and one line in ten with a malformed token (an
+    unknown key, no `=`, an empty key)."""
+    known = sorted(cli._TASK_PARAMS[name]) if name in cli._TASK_PARAMS else []
+    keys = [FUZZ_NEEDS[name]] if name in FUZZ_NEEDS and rng.random() < 0.8 else []
+    keys += [rng.choice(known) for _ in range(rng.randint(0, 3))] if known else []
+    params = []
+    for key in keys:
+        pool = FUZZ_VALUES.get(f"{name}.{key}") or FUZZ_VALUES[key]
+        params.append(f"{key}={rng.choice(pool if rng.random() < 0.75 else FUZZ_OTHER)}")
+    if rng.random() < 0.1:
+        params.append(rng.choice(["zzz=1", "noequals", "=1", "d==1"]))
+    return params
+
+
+# every task gets its own examples, 12 x 16 = 192 in all; the choices come
+# from a random.Random seeded by hypothesis, because hypothesis's own draws
+# lean towards the first value of each list
+@pytest.mark.parametrize("name", sorted(cli._TASK_PARAMS) + ["bogus"])
+@settings(max_examples=16, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_fuzzed_task_lines_never_crash(name, seed):
+    rng = random.Random(seed)
+    cfg_text = FUZZ_CFGS[rng.choice(sorted(FUZZ_CFGS))]
+    params = _task_params(rng, name)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.cfg"
+        if rng.random() < 0.5:
+            path.write_text(cfg_text)
+            argv = [name, "--config", str(path), *params]
+        else:
+            path.write_text(cfg_text + "\n[tasks]\ntask = " + " ".join([name, *params]) + "\n")
+            argv = ["run", "--config", str(path)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert 'detail="internal error' not in out.getvalue()

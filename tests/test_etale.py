@@ -2,10 +2,13 @@
 and the constructive scalar factorization c -> c*sigma(c)^{-1}."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from ring_laws import check_enumeration, check_laws, elements
 
 from azunorm import presets
 from azunorm.etale import QuadraticEtale
-from azunorm.rings import NonUnitError, PrimeField, ShapeError, Zmod
+from azunorm.rings import ExactAlgebraError, NonUnitError, PrimeField, ShapeError, Zmod
+from azunorm.transfers import etale_extension
 
 F3 = PrimeField(3)
 
@@ -114,3 +117,58 @@ def test_non_circle_scalar_rejected():
     bad = c.one + c.sqrt_gen  # norm 2, not 1
     with pytest.raises(ShapeError):
         c.hilbert90_scalar(bad)
+
+
+# -- the circle from the fibres of squaring, against the norm sweep --------------
+
+def _extended_center(name):
+    """The preset tensored up along its own etale extension (f9gen: 6,561 elements)."""
+    c = presets.etale_preset(name)
+    ext = etale_extension(c)
+    return c.extend_scalars(ext.total, ext.embed_p)[0]
+
+
+ETALE_RINGS = ([(n, lambda n=n: presets.etale_preset(n)) for n in presets.ETALE_NAMES]
+                + [(f"{n}-extended", lambda n=n: _extended_center(n))
+                   for n in presets.ETALE_NAMES])
+
+
+@pytest.mark.parametrize("name,build", ETALE_RINGS, ids=[n for n, _ in ETALE_RINGS])
+def test_circle_equals_the_norm_sweep(name, build):
+    c = build()
+    one = c.base.one_p()
+    swept = [p for p in c.elements_p() if c.norm_p(p) == one]
+    assert [u.payload for u in c.unitary_scalars()] == swept
+
+
+def test_circle_members_are_checked_by_the_norm(monkeypatch):
+    c = QuadraticEtale(PrimeField(5), 2)
+    monkeypatch.setattr(c, "norm_p", lambda p: c.base.zero_p())
+    with pytest.raises(ExactAlgebraError):
+        c.unitary_scalars()
+
+
+def test_circle_is_built_once_and_handed_out_fresh(monkeypatch):
+    c = QuadraticEtale(PrimeField(7), 3)
+    first = c.unitary_scalars()
+    first.clear()
+
+    def no_arithmetic(*args):
+        raise AssertionError("circle built twice")
+    monkeypatch.setattr(c.base, "mul_p", no_arithmetic)
+    assert len(c.unitary_scalars()) == CIRCLE_SIZES["f7sqrt3"]
+
+
+# -- ring laws ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("name,build", ETALE_RINGS, ids=[n for n, _ in ETALE_RINGS])
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_ring_laws(name, build, data):
+    c = build()
+    check_laws(c, *(data.draw(elements(c)) for _ in range(3)))
+
+
+@pytest.mark.parametrize("name,build", ETALE_RINGS, ids=[n for n, _ in ETALE_RINGS])
+def test_enumeration_order_and_codes(name, build):
+    check_enumeration(build())

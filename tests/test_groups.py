@@ -1,13 +1,15 @@
 """Unitary and norm-one groups by enumeration, reduced-norm images, and
 finite abelian quotients with their invariant factors."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 from order_oracles import gl_order, sl_order, special_unitary_order, unitary_order
 
 from azunorm import groups, presets
 from azunorm.algebras import (AlgebraElem, AlgebraWithInvolution, MatrixAlgebra,
-                              TableAlgebra, adjoint_involution,
+                              TableAlgebra, adjoint_involution, extend_awi,
                               hermitian_involution, nrd, scalar_extension,
                               transpose_involution)
 from azunorm.groups import (FiniteAbelianPresentation, enumerate_special,
@@ -190,6 +192,46 @@ def test_frames_are_checked_through_the_involution_matrix():
     inv.form = _symplectic_m2_f3().involution.form
     with pytest.raises(ExactAlgebraError):
         enumerate_unitary(AlgebraWithInvolution(a, inv))
+
+
+# -- frames after scalar extension -------------------------------------------------
+
+def _orthogonal_m2_f3():
+    a = MatrixAlgebra(F3, 2)
+    return AlgebraWithInvolution(a, transpose_involution(a))
+
+
+def _f3i_extension():
+    return etale_extension(presets.etale_preset("f3i"))
+
+
+EXTENDED_CASES = ([(f"deg1-{n}-etale", lambda n=n: (presets.degree_one_unitary(n),
+                                                    etale_extension(presets.etale_preset(n))))
+                   for n in presets.ETALE_NAMES]
+                  + [(f"m2-f3i-{h}-identity", lambda h=h: (presets.unitary_m2_f3i(h),
+                                                           FiniteFreeExtension.identity(F3)))
+                     for h in presets.H_NAMES]
+                  + [("m2-f3-symplectic-f3i", lambda: (_symplectic_m2_f3(), _f3i_extension())),
+                     ("m2-f3-orthogonal-f3i", lambda: (_orthogonal_m2_f3(), _f3i_extension()))])
+
+
+@pytest.mark.parametrize("name,build", EXTENDED_CASES, ids=[n for n, _ in EXTENDED_CASES])
+def test_extended_frames_equal_the_sweep(name, build):
+    aw, ext = build()
+    big, mp = extend_awi(aw, ext)
+    assert big.involution.form is not None
+    assert big.kind == aw.kind
+    assert [u.payload for u in enumerate_unitary(big)] == _swept_unitary(big)
+    # the extension map intertwines sigma
+    rng = random.Random(29)
+    elems = list(aw.algebra.elements_p())
+    for x in rng.sample(elems, min(60, len(elems))):
+        assert mp(aw.sigma_p(x)) == big.sigma_p(mp(x))
+
+
+def test_extended_symplectic_group_is_sl2_f9():
+    big, _ = extend_awi(_symplectic_m2_f3(), _f3i_extension())
+    assert len(enumerate_unitary(big)) == sl_order(2, 9) == 720
 
 
 def test_unit_norm_image_matches_a_sweep():

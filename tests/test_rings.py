@@ -4,7 +4,10 @@ characteristic polynomials, inverses, root extraction."""
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from ring_laws import check_enumeration, check_laws, elements
 
+from azunorm import presets
 from azunorm.rings import (NonUnitError, NoRootError, Poly, PolyQuotient,
                            PolyRing, PrimeField, ProductRing, RingMatrix,
                            Zmod, enumerate_units, nth_root_monic, nullspace,
@@ -176,3 +179,21 @@ def test_element_encode_roundtrip():
         for p in ring.elements_p():
             seen.add(ring.encode(p))
         assert seen == set(range(ring.size))
+
+
+LAW_RINGS = [("Z9", lambda: Z9), ("F5", lambda: F5),
+             ("F9", lambda: PolyQuotient(PrimeField(3), Poly.from_ints(PrimeField(3), [1, 0, 1]))),
+             ("F3xf3i", lambda: ProductRing([PrimeField(3), presets.etale_preset("f3i")]))]
+
+
+@pytest.mark.parametrize("name,build", LAW_RINGS, ids=[n for n, _ in LAW_RINGS])
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_ring_laws(name, build, data):
+    ring = build()
+    check_laws(ring, *(data.draw(elements(ring)) for _ in range(3)))
+
+
+@pytest.mark.parametrize("name,build", LAW_RINGS, ids=[n for n, _ in LAW_RINGS])
+def test_enumeration_order_and_codes(name, build):
+    check_enumeration(build())

@@ -206,6 +206,12 @@ def test_base_change_check_passes():
     assert rep.unit_samples == 1
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_base_change_needs_a_sample(samples):
+    with pytest.raises(ExactAlgebraError, match="samples must be at least 1"):
+        base_change_check(presets.poly_extension_preset("x2-1"), samples=samples, seed=0)
+
+
 def test_unit_norm_element_inverts():
     ext = presets.poly_extension_preset("x2-tx-1")
     rt = ext.rt
