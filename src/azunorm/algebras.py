@@ -20,8 +20,8 @@ from math import isqrt
 
 from .etale import QuadraticEtale
 from .rings import (ClassificationError, ExactAlgebraError, NonUnitError, Poly,
-                    Ring, RingElem, RingMatrix, ShapeError, extend_basis,
-                    nth_root_monic, nullspace, solve_field)
+                    Ring, RingElem, RingMatrix, ShapeError, det2_p,
+                    extend_basis, nth_root_monic, nullspace, solve_field)
 
 
 class AlgebraElem:
@@ -262,7 +262,7 @@ class MatrixAlgebra(Algebra):
         if n == 1:
             return a[0]
         if n == 2:
-            return c.sub_p(c.mul_p(a[0], a[3]), c.mul_p(a[1], a[2]))
+            return det2_p(c, *a)
         return self.as_matrix_p(a).det().payload
 
     def is_unit_p(self, a):
@@ -877,20 +877,16 @@ class AlgebraWithInvolution:
             return []
         return [C.sqrt_gen.payload]
 
-    @property
+    @cached_property
     def symmetric_rank(self) -> int:
         """Rank over the center of the sigma-fixed module."""
-        got = getattr(self, "_sym_rank", None)
-        if got is None:
-            alg = self.algebra
-            fixed = nullspace(self.involution.matrix
-                              - RingMatrix.identity(alg.base, alg.rank))
-            if len(fixed) % self.cdata.rank:
-                raise ClassificationError("symmetric module rank is not integral "
-                                          "over the center")
-            got = len(fixed) // self.cdata.rank
-            self._sym_rank = got
-        return got
+        alg = self.algebra
+        fixed = nullspace(self.involution.matrix
+                          - RingMatrix.identity(alg.base, alg.rank))
+        if len(fixed) % self.cdata.rank:
+            raise ClassificationError("symmetric module rank is not integral "
+                                      "over the center")
+        return len(fixed) // self.cdata.rank
 
     def _validate_center_action(self):
         # sigma restricted to the center must be the etale involution (unitary)
@@ -1019,11 +1015,17 @@ def extend_awi(awi: AlgebraWithInvolution, ext) -> tuple:
     """Scalar-extend an algebra with involution; returns (awi_T, payload map).
 
     A recorded form extends entrywise and its constructor rebuilds the involution.
+    Otherwise it is sigma tensor id_T: entrywise over T, and on the x- and y-parts
+    apart for M_n(R) along an etale T = R[sqrt(s)], which keeps the base R.
     """
     alg_t, mp = scalar_extension(awi.algebra, ext)
     form = awi.involution.form
     if form is None:
-        mat = awi.involution.matrix.map_entries(ext.embed_p, ext.total)
+        if alg_t.base == ext.total:
+            mat = awi.involution.matrix.map_entries(ext.embed_p, ext.total)
+        else:
+            # sigma on the x-parts and on the y-parts of the entries, zipped back
+            mat = alg_t.matrix_of(lambda p: tuple(zip(*map(awi.sigma_p, zip(*p)))))
         inv_t = Involution(alg_t, matrix=mat, validate=False)
     else:
         build = adjoint_involution if form[1] is None else hermitian_involution

@@ -8,6 +8,7 @@ engine: everything here is enumeration over small finite rings.
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 
 from .algebras import (Algebra, AlgebraElem, AlgebraWithInvolution,
                        MatrixAlgebra, extend_awi, nrd as algebra_nrd,
@@ -222,7 +223,6 @@ class FiniteAbelianPresentation:
             self.cosets.append((rep, tuple(coset)))
         self.order = len(self.cosets)
         self.identity = self._coset_of[ring.one_p()]
-        self._divisors = None
 
     # -- quotient-group operations -------------------------------------------
     def rep(self, payload):
@@ -254,12 +254,13 @@ class FiniteAbelianPresentation:
     @property
     def elementary_divisors(self):
         """Invariant factors d_1 | d_2 | ... with product equal to the order."""
-        if self._divisors is not None:
-            return self._divisors
+        return self._divisors
+
+    @cached_property
+    def _divisors(self):
         n = self.order
         if n == 1:
-            self._divisors = []
-            return self._divisors
+            return []
         primes = []
         m = n
         p = 2
@@ -311,7 +312,6 @@ class FiniteAbelianPresentation:
             prod *= d
         if prod != n:
             raise ExactAlgebraError("invariant factors do not multiply to the order")
-        self._divisors = factors
         return factors
 
     def __repr__(self):

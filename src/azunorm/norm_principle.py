@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .algebras import AlgebraElem, AlgebraWithInvolution
 from .rings import (ClassificationError, ExactAlgebraError, NonUnitError,
@@ -67,7 +68,6 @@ class PlusMinusSplit:
             self.basis_inverse = self.basis_matrix.inverse()
         except NonUnitError:
             raise ClassificationError("plus and minus blocks do not span freely")
-        self._anchored = None
 
     @staticmethod
     def _plus_basis_with_one_first(base, m, one_coords, fixed):
@@ -106,21 +106,21 @@ class PlusMinusSplit:
 
     def anchored_candidates(self):
         """Verified members of the witness domain of the form sqrt * symmetric."""
-        if self._anchored is None:
-            alg = self.algebra
-            base = alg.base
-            out = []
-            for combo in itertools.product(list(base.elements_p()),
-                                           repeat=self.m):
-                p = self.from_plus_coords(combo)
-                v2 = alg.mul_p(self.sqrt_b, p)
-                if not alg.is_unit_p(v2):
-                    continue
-                member, _, _, _, _ = _omega(self, v2)
-                if member:
-                    out.append((v2, alg.inv_p(v2)))
-            self._anchored = out
         return self._anchored
+
+    @cached_property
+    def _anchored(self):
+        alg = self.algebra
+        out = []
+        for combo in itertools.product(list(alg.base.elements_p()), repeat=self.m):
+            p = self.from_plus_coords(combo)
+            v2 = alg.mul_p(self.sqrt_b, p)
+            if not alg.is_unit_p(v2):
+                continue
+            member, _, _, _, _ = _omega(self, v2)
+            if member:
+                out.append((v2, alg.inv_p(v2)))
+        return out
 
 
 def pm_split(awi: AlgebraWithInvolution) -> PlusMinusSplit:

@@ -144,13 +144,16 @@ class Ring:
         for p in self.elements_p():
             yield RingElem(self, p)
 
+    # A ring caches in plain attributes (units, the hash, PolyQuotient.is_field),
+    # not in functools.cached_property: on CPython 3.11 that writes through
+    # instance.__dict__, which slows every later attribute load on the ring,
+    # and ring arithmetic reads the ring's attributes on every call.
     def units(self):
         """All units, in canonical order (cached)."""
-        got = getattr(self, "_unit_list", None)
-        if got is None:
-            got = [RingElem(self, p) for p in self.elements_p() if self.is_unit_p(p)]
-            self._unit_list = got
-        return list(got)
+        if getattr(self, "_unit_list", None) is None:
+            self._unit_list = [RingElem(self, p) for p in self.elements_p()
+                               if self.is_unit_p(p)]
+        return list(self._unit_list)
 
     def pow_p(self, a, k: int):
         if k < 0:
@@ -188,11 +191,9 @@ class Ring:
         return isinstance(other, Ring) and self._signature() == other._signature()
 
     def __hash__(self):
-        h = getattr(self, "_sig_hash", None)
-        if h is None:
-            h = hash(self._signature())
-            self._sig_hash = h
-        return h
+        if getattr(self, "_sig_hash", None) is None:
+            self._sig_hash = hash(self._signature())
+        return self._sig_hash
 
 
 class RingElem:
@@ -533,11 +534,9 @@ class PolyQuotient(Ring):
 
     @property
     def is_field(self):
-        got = getattr(self, "_is_field", None)
-        if got is None:
-            got = self._decide_field()
-            self._is_field = got
-        return got
+        if getattr(self, "_is_field", None) is None:
+            self._is_field = self._decide_field()
+        return self._is_field
 
     def _decide_field(self):
         if not self.base.is_field or self.base.size is None:
@@ -1020,11 +1019,13 @@ class RingMatrix:
         return self.nrows
 
     def det(self) -> RingElem:
-        """Determinant; Berkowitz in general, Gaussian elimination on fields."""
+        """Determinant: closed forms for n <= 2, else field elimination or Berkowitz."""
         n = self._square()
         r = self.ring
         if n == 0:
             return r.one
+        if n <= 2:
+            return RingElem(r, self.cells[0] if n == 1 else det2_p(r, *self.cells))
         if r.is_field:
             return RingElem(r, _field_det(r, self))
         v = _berkowitz_vector(r, self, n)
@@ -1077,6 +1078,11 @@ class RingMatrix:
             rows.append("[" + ", ".join(self.ring.show(self.at(i, j))
                                         for j in range(self.ncols)) + "]")
         return "[" + "; ".join(rows) + "]"
+
+
+def det2_p(r: Ring, a, b, c, d):
+    """det [[a, b], [c, d]] = a*d - b*c: Berkowitz's division-free polynomial for n = 2."""
+    return r.sub_p(r.mul_p(a, d), r.mul_p(b, c))
 
 
 def _berkowitz_vector(r: Ring, m: RingMatrix, n: int):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .algebras import Algebra, AlgebraWithInvolution, scalar_extension
 from .etale import QuadraticEtale
@@ -40,14 +41,13 @@ class FiniteFreeExtension:
             raise ExactAlgebraError("basis length does not match the module size")
         if embed_p(base.one_p()) != total.one_p():
             raise ExactAlgebraError("embedding is not unital")
-        self._check_embedding_hom()
-        if coords_p is None:
-            self._table = self._build_coord_table()
-            coords_p = self._table.__getitem__
-        self.coords_p = coords_p
+        gens = self._check_embedding_hom()
+        if coords_p is not None:
+            self._check_coords(coords_p, gens)
+        self.coords_p = coords_p or self._table.__getitem__
 
     def _check_embedding_hom(self):
-        """Raise unless embed_p is a ring homomorphism base -> total.
+        """Raise unless embed_p is a ring homomorphism base -> total; returns S.
 
         S is a greedy set of additive generators of the base: an element
         joins S only if the span of the earlier ones misses it.  Checking
@@ -77,8 +77,24 @@ class FiniteFreeExtension:
             for h in gens:
                 if f(base.mul_p(g, h)) != tot.mul_p(f(g), f(h)):
                     raise ExactAlgebraError("embedding is not multiplicative")
+        return gens
 
-    def _build_coord_table(self):
+    def _check_coords(self, coords_p, gens):
+        """Raise unless the additive coords_p inverts E(c) = sum embed(c_k) b_k.
+
+        E is additive, so coords_p(E(c)) = c holds for every c once it holds with
+        each g in S in each slot k.  E is then injective, so bijective by size.
+        """
+        zero = self.base.zero_p()
+        for k, b in enumerate(self.basis):
+            for g in gens:
+                want = (zero,) * k + (g,) + (zero,) * (self.rank - k - 1)
+                if tuple(coords_p(self.total.mul_p(self.embed_p(g), b))) != want:
+                    raise ExactAlgebraError("coordinates do not invert the basis")
+
+    @cached_property
+    def _table(self):
+        """Coordinates of every element by summing all combinations (the oracle)."""
         base, tot = self.base, self.total
         if base.size ** self.rank > _COORD_GUARD:
             raise ExactAlgebraError("extension too large for coordinate table")
@@ -166,8 +182,10 @@ def center_extension(C: QuadraticEtale, ext: FiniteFreeExtension) -> tuple:
     CT, embed_c = C.extend_scalars(ext.total, ext.embed_p)
     zt = ext.total.zero_p()
     basis_c = [(b, zt) for b in ext.basis]
-    return CT, FiniteFreeExtension(C, CT, basis_c, embed_c,
-                                   name=f"center of {ext.name}")
+    # u + v*sqrt(s) = sum (x_k + y_k*sqrt(s)) b_k for u = sum x_k b_k, v = sum y_k b_k
+    return CT, FiniteFreeExtension(
+        C, CT, basis_c, embed_c, name=f"center of {ext.name}",
+        coords_p=lambda p: tuple(zip(ext.coords_p(p[0]), ext.coords_p(p[1]))))
 
 
 # -- norm inclusion -------------------------------------------------------

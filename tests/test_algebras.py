@@ -264,6 +264,22 @@ def test_involution_is_an_anti_automorphism_of_order_two(name):
     check()
 
 
+@pytest.mark.parametrize("name", sorted(SHIPPED_INVOLUTIONS))
+def test_nrd_is_multiplicative(name):
+    aw = SHIPPED_INVOLUTIONS[name]()
+    alg = aw.algebra
+    mul = aw.center_ring.mul_p
+    assert aw.nrd_p(alg.one_p()) == aw.center_ring.one_p()
+    elems = st.integers(min_value=0, max_value=alg.size - 1).map(alg.decode)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(elems, elems)
+    def check(x, y):
+        assert aw.nrd_p(alg.mul_p(x, y)) == mul(aw.nrd_p(x), aw.nrd_p(y))
+
+    check()
+
+
 # -- structure-table round trips -------------------------------------------------
 
 def test_split_to_table_preserves_norms():
@@ -335,6 +351,16 @@ def test_extended_involution_keeps_kind():
     for _ in range(100):
         x = rng.choice(elems)
         assert mp(aw.sigma_p(x)) == big.sigma_p(mp(x))
+
+
+def test_formless_matrix_involution_extends_along_an_etale_center():
+    a = MatrixAlgebra(F3, 2)
+    aw = AlgebraWithInvolution(a, Involution(a, transpose_involution(a).matrix))
+    assert aw.involution.form is None
+    f3i = presets.etale_preset("f3i")
+    big, mp = extend_awi(aw, etale_extension(f3i))
+    assert big.involution.matrix == transpose_involution(MatrixAlgebra(f3i, 2)).matrix
+    assert big.kind == "orthogonal"
 
 
 def test_element_arithmetic():

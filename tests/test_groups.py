@@ -146,6 +146,25 @@ def test_frames_equal_the_sweep(name, build):
     assert [u.payload for u in enumerate_special(aw, which)] == special
 
 
+SPLIT_FORMS = {"identity": [[1, 0], [0, 1]], "diag": [[1, 0], [0, -1]],
+               "hyperbolic": [[0, 1], [1, 0]]}
+
+
+@pytest.mark.parametrize("h", sorted(SPLIT_FORMS))
+def test_frames_equal_the_sweep_over_a_split_center(h):
+    c = presets.etale_preset("f3split")
+    a = MatrixAlgebra(c, 2)
+    aw = AlgebraWithInvolution(
+        a, hermitian_involution(a, RingMatrix.from_rows(c, SPLIT_FORMS[h])))
+    swept = _swept_unitary(aw)
+    assert [u.payload for u in enumerate_unitary(aw)] == swept
+    assert len(swept) == gl_order(2, 3) == 48
+    onec = c.one_p()
+    special = [p for p in swept if aw.nrd_p(p) == onec]
+    assert [u.payload for u in enumerate_special(aw, "SU")] == special
+    assert len(special) == sl_order(2, 3) == 24
+
+
 def test_frame_orders_match_the_oracles():
     assert len(enumerate_unitary(_symplectic_m2_f3())) == sl_order(2, 3)
     # frames only: the sweep of M2(f5split) visits 390,625 elements

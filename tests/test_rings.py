@@ -1,6 +1,7 @@
 """Exact linear algebra over Z/n and prime fields: determinants,
 characteristic polynomials, inverses, root extraction."""
 
+import itertools
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from ring_laws import check_enumeration, check_laws, elements
 
 from azunorm import presets
+from azunorm.algebras import MatrixAlgebra
 from azunorm.rings import (NonUnitError, NoRootError, Poly, PolyQuotient,
                            PolyRing, PrimeField, ProductRing, RingMatrix,
                            Zmod, enumerate_units, nth_root_monic, nullspace,
@@ -51,6 +53,21 @@ def test_char_poly_matches_field_determinant():
         assert p.is_monic and p.degree == 3
         const = p.coeff_elem(0)
         assert const == ((-F7.one) ** 3) * m.det()
+
+
+@pytest.mark.parametrize("name", ["Z9", "F5", "f3i", "f3split"])
+def test_closed_form_determinants_match_the_char_poly(name):
+    ring = {"Z9": Z9, "F5": F5}.get(name) or presets.etale_preset(name)
+    elems = list(ring.elements_p())
+    m2 = MatrixAlgebra(ring, 2)
+    for n in (1, 2):
+        for cells in itertools.product(elems, repeat=n * n):
+            m = RingMatrix(ring, n, n, cells)
+            const = m.char_poly().coeff(0)
+            want = const if n % 2 == 0 else ring.neg_p(const)
+            assert m.det().payload == want
+            if n == 2:
+                assert m2.det_p(cells) == want
 
 
 def test_char_poly_annihilates_matrix():

@@ -99,6 +99,30 @@ def test_coordinate_table_matches_the_per_combo_sum():
     assert list(ext_c._table.items()) == list(table.items())
 
 
+@pytest.mark.parametrize("name", presets.ETALE_NAMES)
+def test_structural_center_coordinates_match_the_table(name):
+    c = presets.etale_preset(name)
+    CT, ext_c = center_extension(c, etale_extension(c))
+    assert "_table" not in vars(ext_c)
+    table = ext_c._table
+    assert len(table) == CT.size
+    for x in CT.elements_p():
+        assert ext_c.coords_p(x) == table[x]
+
+
+@pytest.mark.parametrize("slots", [(0, 1), (1,)])
+def test_center_coordinates_with_swapped_pairs_are_rejected(slots):
+    c = presets.etale_preset("f3i")
+    ext = etale_extension(c)
+    CT, ext_c = center_extension(c, ext)
+
+    def swapped(p):
+        pairs = zip(ext.coords_p(p[0]), ext.coords_p(p[1]))
+        return tuple(xy[::-1] if k in slots else xy for k, xy in enumerate(pairs))
+    with pytest.raises(ExactAlgebraError, match="coordinates"):
+        FiniteFreeExtension(c, CT, ext_c.basis, ext_c.embed_p, coords_p=swapped)
+
+
 def test_norm_inclusion_frozen_counts():
     expected = {
         "m2f3-f9": (8, 2, 2),
