@@ -877,16 +877,20 @@ class AlgebraWithInvolution:
             return []
         return [C.sqrt_gen.payload]
 
-    @cached_property
+    @property
     def symmetric_rank(self) -> int:
         """Rank over the center of the sigma-fixed module."""
-        alg = self.algebra
-        fixed = nullspace(self.involution.matrix
-                          - RingMatrix.identity(alg.base, alg.rank))
-        if len(fixed) % self.cdata.rank:
-            raise ClassificationError("symmetric module rank is not integral "
-                                      "over the center")
-        return len(fixed) // self.cdata.rank
+        got = getattr(self, "_sym_rank", None)
+        if got is None:
+            alg = self.algebra
+            fixed = nullspace(self.involution.matrix
+                              - RingMatrix.identity(alg.base, alg.rank))
+            if len(fixed) % self.cdata.rank:
+                raise ClassificationError("symmetric module rank is not integral "
+                                          "over the center")
+            got = len(fixed) // self.cdata.rank
+            self._sym_rank = got
+        return got
 
     def _validate_center_action(self):
         # sigma restricted to the center must be the etale involution (unitary)

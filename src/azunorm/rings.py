@@ -144,16 +144,13 @@ class Ring:
         for p in self.elements_p():
             yield RingElem(self, p)
 
-    # A ring caches in plain attributes (units, the hash, PolyQuotient.is_field),
-    # not in functools.cached_property: on CPython 3.11 that writes through
-    # instance.__dict__, which slows every later attribute load on the ring,
-    # and ring arithmetic reads the ring's attributes on every call.
     def units(self):
         """All units, in canonical order (cached)."""
-        if getattr(self, "_unit_list", None) is None:
-            self._unit_list = [RingElem(self, p) for p in self.elements_p()
-                               if self.is_unit_p(p)]
-        return list(self._unit_list)
+        got = getattr(self, "_unit_list", None)
+        if got is None:
+            got = [RingElem(self, p) for p in self.elements_p() if self.is_unit_p(p)]
+            self._unit_list = got
+        return list(got)
 
     def pow_p(self, a, k: int):
         if k < 0:
@@ -191,9 +188,11 @@ class Ring:
         return isinstance(other, Ring) and self._signature() == other._signature()
 
     def __hash__(self):
-        if getattr(self, "_sig_hash", None) is None:
-            self._sig_hash = hash(self._signature())
-        return self._sig_hash
+        h = getattr(self, "_sig_hash", None)
+        if h is None:
+            h = hash(self._signature())
+            self._sig_hash = h
+        return h
 
 
 class RingElem:
@@ -534,9 +533,11 @@ class PolyQuotient(Ring):
 
     @property
     def is_field(self):
-        if getattr(self, "_is_field", None) is None:
-            self._is_field = self._decide_field()
-        return self._is_field
+        got = getattr(self, "_is_field", None)
+        if got is None:
+            got = self._decide_field()
+            self._is_field = got
+        return got
 
     def _decide_field(self):
         if not self.base.is_field or self.base.size is None:

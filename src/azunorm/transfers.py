@@ -25,9 +25,12 @@ _COORD_GUARD = 200000
 
 
 class FiniteFreeExtension:
-    """total is free as a base module with the given basis; norms are dets."""
+    """total is free as a base module with the given basis; norms are dets.
 
-    def __init__(self, base: Ring, total: Ring, basis, embed_p, coords_p=None,
+    coords_p must be additive: it is checked on generators only.
+    """
+
+    def __init__(self, base: Ring, total: Ring, basis, embed_p, coords_p,
                  name: str = ""):
         self.base = base
         self.total = total
@@ -41,10 +44,8 @@ class FiniteFreeExtension:
             raise ExactAlgebraError("basis length does not match the module size")
         if embed_p(base.one_p()) != total.one_p():
             raise ExactAlgebraError("embedding is not unital")
-        gens = self._check_embedding_hom()
-        if coords_p is not None:
-            self._check_coords(coords_p, gens)
-        self.coords_p = coords_p or self._table.__getitem__
+        self._check_coords(coords_p, self._check_embedding_hom())
+        self.coords_p = coords_p
 
     def _check_embedding_hom(self):
         """Raise unless embed_p is a ring homomorphism base -> total; returns S.
@@ -94,7 +95,7 @@ class FiniteFreeExtension:
 
     @cached_property
     def _table(self):
-        """Coordinates of every element by summing all combinations (the oracle)."""
+        """Coordinates by summing every combination: the oracle for coords_p."""
         base, tot = self.base, self.total
         if base.size ** self.rank > _COORD_GUARD:
             raise ExactAlgebraError("extension too large for coordinate table")
