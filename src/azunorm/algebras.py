@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 from math import isqrt
 
 from .etale import QuadraticEtale
 from .rings import (ClassificationError, ExactAlgebraError, NonUnitError, Poly,
-                    Ring, RingElem, RingMatrix, ShapeError, det2_p,
-                    extend_basis, nth_root_monic, nullspace, solve_field)
+                    Ring, RingElem, RingMatrix, ShapeError, decode_digits,
+                    det2_p, encode_digits, extend_basis, nth_root_monic,
+                    nullspace, solve_field)
 
 
 class AlgebraElem:
@@ -139,11 +139,26 @@ class Algebra:
         return None if self.base.size is None else self.base.size ** self.rank
 
     def elements_p(self):
-        # counting order: slot 0 is the least significant digit
+        # the order of decode: slot 0 is the least significant digit
         ring, slots = self._slot_shape()
         vals = list(ring.elements_p())
         for combo in itertools.product(vals, repeat=slots):
             yield combo[::-1]
+
+    def encode(self, a) -> int:
+        ring, slots = self._slot_shape()
+        return encode_digits((ring,) * slots, a)
+
+    def decode(self, code: int):
+        ring, slots = self._slot_shape()
+        return decode_digits((ring,) * slots, code)
+
+    def _slot_basis(self):
+        """Payloads with a single 1 slot: a basis over the slot ring."""
+        ring, slots = self._slot_shape()
+        zero, one = ring.zero_p(), ring.one_p()
+        return [tuple(one if k == i else zero for k in range(slots))
+                for i in range(slots)]
 
     def elements(self):
         for p in self.elements_p():
@@ -178,10 +193,13 @@ class Algebra:
     def right_mult_matrix(self, payload) -> RingMatrix:
         return self.matrix_of(lambda b: self.mul_p(b, payload))
 
-    @cached_property
+    @property
     def cdata(self) -> "CenterData":
         """The center and the center-module structure, found without an involution."""
-        return center_data(self)
+        got = getattr(self, "_cdata", None)
+        if got is None:
+            got = self._cdata = center_data(self)
+        return got
 
     def __eq__(self, other):
         return isinstance(other, Algebra) and self._signature() == other._signature()
@@ -285,19 +303,6 @@ class MatrixAlgebra(Algebra):
             return tuple(vec)
         return tuple(tuple(vec[2 * k:2 * k + 2]) for k in range(self.n * self.n))
 
-    def encode(self, a):
-        out = 0
-        for x in reversed(a):
-            out = out * self.center.size + self.center.encode(x)
-        return out
-
-    def decode(self, code):
-        out = []
-        for _ in range(self.n * self.n):
-            code, digit = divmod(code, self.center.size)
-            out.append(self.center.decode(digit))
-        return tuple(out)
-
     # -- matrix views ---------------------------------------------------------
     def as_matrix_p(self, a) -> RingMatrix:
         return RingMatrix(self.center, self.n, self.n, a)
@@ -311,14 +316,6 @@ class MatrixAlgebra(Algebra):
         z = self.center.zero_p()
         n = self.n
         return tuple(c if i == j else z for i in range(n) for j in range(n))
-
-    # -- scalar-ring coordinates (for the Azumaya check) -----------------------
-    @property
-    def scalar_ring(self):
-        return self.center
-
-    def scoords_p(self, a):
-        return a
 
     def _slot_shape(self):
         return self.center, self.n * self.n
@@ -361,50 +358,16 @@ class TableAlgebra(Algebra):
             self._validate()
 
     def _validate(self):
-        base = self.base
-        r = self.rank
-        u = self.unit_index
-        for j in range(r):
-            ind = tuple(base.one_p() if k == j else base.zero_p() for k in range(r))
-            if self.gamma[u][j] != ind or self.gamma[j][u] != ind:
-                raise ExactAlgebraError("designated unit element is not a two-sided 1")
+        mul = self.mul_p
+        one = self.one_p()
+        basis = self.basis_p()
+        if any(mul(one, b) != b or mul(b, one) != b for b in basis):
+            raise ExactAlgebraError("designated unit element is not a two-sided 1")
         # associativity on all basis triples
-        for i in range(r):
-            for j in range(r):
-                ij = self.gamma[i][j]
-                for k in range(r):
-                    left = self._comb_right(ij, k)
-                    right = self._comb_left(i, self.gamma[j][k])
-                    if left != right:
-                        raise ExactAlgebraError(
-                            f"structure table not associative at ({i},{j},{k})")
-
-    def _comb_right(self, vec, k):
-        # (sum_l vec_l e_l) * e_k
-        base = self.base
-        zero = base.zero_p()
-        out = [zero] * self.rank
-        for l, c in enumerate(vec):
-            if c == zero:
-                continue
-            row = self.gamma[l][k]
-            for t, g in enumerate(row):
-                if g != zero:
-                    out[t] = base.add_p(out[t], base.mul_p(c, g))
-        return tuple(out)
-
-    def _comb_left(self, i, vec):
-        base = self.base
-        zero = base.zero_p()
-        out = [zero] * self.rank
-        for l, c in enumerate(vec):
-            if c == zero:
-                continue
-            row = self.gamma[i][l]
-            for t, g in enumerate(row):
-                if g != zero:
-                    out[t] = base.add_p(out[t], base.mul_p(c, g))
-        return tuple(out)
+        for (i, bi), (j, bj), (k, bk) in itertools.product(enumerate(basis), repeat=3):
+            if mul(mul(bi, bj), bk) != mul(bi, mul(bj, bk)):
+                raise ExactAlgebraError(
+                    f"structure table not associative at ({i},{j},{k})")
 
     # -- payload arithmetic -----------------------------------------------
     def zero_p(self):
@@ -477,26 +440,6 @@ class TableAlgebra(Algebra):
 
     def from_coords_p(self, vec):
         return tuple(vec)
-
-    def encode(self, a):
-        out = 0
-        for x in reversed(a):
-            out = out * self.base.size + self.base.encode(x)
-        return out
-
-    def decode(self, code):
-        out = []
-        for _ in range(self.rank):
-            code, digit = divmod(code, self.base.size)
-            out.append(self.base.decode(digit))
-        return tuple(out)
-
-    @property
-    def scalar_ring(self):
-        return self.base
-
-    def scoords_p(self, a):
-        return a
 
     def _slot_shape(self):
         return self.base, self.rank
@@ -662,20 +605,9 @@ def _scalar_part(algebra, payload):
 def center_data(algebra: Algebra, involution: Involution = None) -> CenterData:
     """Center ring plus the center-module structure of the algebra."""
     if isinstance(algebra, MatrixAlgebra):
-        C = algebra.center
-        n = algebra.n
-        units = []
-        zero = C.zero_p()
-        one = C.one_p()
-        for i in range(n * n):
-            units.append(tuple(one if k == i else zero for k in range(n * n)))
-
-        def ccoords(payload):
-            return payload
-
-        return CenterData(ring=C, rank=algebra.center_rank, degree=n,
-                          embed_p=algebra.embed_center_p, cbasis=units,
-                          ccoords_p=ccoords)
+        return CenterData(ring=algebra.center, rank=algebra.center_rank,
+                          degree=algebra.n, embed_p=algebra.embed_center_p,
+                          cbasis=algebra._slot_basis(), ccoords_p=lambda p: p)
 
     zb = center_basis(algebra)
     base = algebra.base
@@ -802,7 +734,7 @@ def nrd_data(algebra: Algebra, payload, cdata: CenterData) -> RingElem:
 class AlgebraWithInvolution:
     """An algebra presentation bound to an involution, with center structure."""
 
-    def __init__(self, algebra: Algebra, involution: Involution, validate=True):
+    def __init__(self, algebra: Algebra, involution: Involution):
         if involution.algebra != algebra:
             raise ShapeError("involution belongs to a different algebra")
         self.algebra = algebra
@@ -812,8 +744,7 @@ class AlgebraWithInvolution:
         self.center_ring = self.cdata.ring
         self.degree = self.cdata.degree
         self.kind = self._classify()
-        if validate:
-            self._validate_center_action()
+        self._validate_center_action()
 
     # -- involution action -------------------------------------------------
     def sigma_p(self, payload):
@@ -917,27 +848,19 @@ class AzumayaReport:
 
 
 def azumaya_verify(algebra: Algebra) -> AzumayaReport:
-    """Decide whether the presentation is Azumaya over its scalar ring.
+    """Decide whether the presentation is Azumaya over its slot ring.
 
     Materializes the bilinear map (x, y) |-> (z |-> x z y) on basis pairs as
-    a square matrix over the scalar ring; the presentation is Azumaya
+    a square matrix over the ring of the payload slots (the center of a
+    matrix algebra, the base of a table); the presentation is Azumaya
     exactly when that determinant is a unit.
     """
-    S = algebra.scalar_ring
-    if isinstance(algebra, MatrixAlgebra):
-        basis = []
-        zero, one = S.zero_p(), S.one_p()
-        nn = algebra.n * algebra.n
-        for i in range(nn):
-            basis.append(tuple(one if k == i else zero for k in range(nn)))
-        scoords = lambda p: p
-    else:
-        basis = algebra.basis_p()
-        scoords = algebra.scoords_p
+    S = algebra._slot_shape()[0]
+    basis = algebra._slot_basis()
     mul = algebra.mul_p
     # column (i, j): the matrix of z |-> b_i z b_j, flattened row-major
     big = RingMatrix.from_columns(S, [
-        RingMatrix.from_columns(S, [scoords(mul(mul(bi, bl), bj)) for bl in basis]).cells
+        RingMatrix.from_columns(S, [mul(mul(bi, bl), bj) for bl in basis]).cells
         for bi in basis for bj in basis])
     det = big.det()
     return AzumayaReport(ok=det.is_unit, det=det, dimension=big.nrows)
@@ -945,7 +868,7 @@ def azumaya_verify(algebra: Algebra) -> AzumayaReport:
 
 # -- converters ---------------------------------------------------------------
 
-def to_table(algebra: MatrixAlgebra, validate=False) -> tuple:
+def to_table(algebra: MatrixAlgebra) -> tuple:
     """Re-encode a matrix algebra as a structure table over its base.
 
     The new basis starts with 1 so the table has a designated unit index;
@@ -958,10 +881,10 @@ def to_table(algebra: MatrixAlgebra, validate=False) -> tuple:
     picked = extend_basis(base, [], ([algebra.coords_p(p)] for p in cand), algebra.rank)
     if len(picked) != algebra.rank:
         raise ClassificationError("could not build a unit-first basis")
-    return _table_in_basis(algebra, [cand[i] for i in picked], validate)
+    return _table_in_basis(algebra, [cand[i] for i in picked])
 
 
-def rebase_table(table: TableAlgebra, new_basis_payloads, validate=False) -> tuple:
+def rebase_table(table: TableAlgebra, new_basis_payloads) -> tuple:
     """Structure table in a new basis whose first element must be 1.
 
     Returns (table', fwd payload map, back payload map).
@@ -970,10 +893,10 @@ def rebase_table(table: TableAlgebra, new_basis_payloads, validate=False) -> tup
         raise ShapeError("need a full basis")
     if new_basis_payloads[0] != table.one_p():
         raise ShapeError("first basis vector must be 1")
-    return _table_in_basis(table, new_basis_payloads, validate)
+    return _table_in_basis(table, new_basis_payloads)
 
 
-def _table_in_basis(algebra: Algebra, basis, validate) -> tuple:
+def _table_in_basis(algebra: Algebra, basis) -> tuple:
     """Structure table of algebra in a basis of payloads that starts with 1.
 
     Returns (table, to_table_payload, from_table_payload); raises
@@ -989,7 +912,7 @@ def _table_in_basis(algebra: Algebra, basis, validate) -> tuple:
         return algebra.from_coords_p(bmat.apply(list(vec)))
 
     gamma = [[fwd(algebra.mul_p(x, y)) for y in basis] for x in basis]
-    return TableAlgebra(algebra.base, gamma, unit_index=0, validate=validate), fwd, back
+    return TableAlgebra(algebra.base, gamma, unit_index=0, validate=False), fwd, back
 
 
 def scalar_extension(algebra: Algebra, ext) -> tuple:
@@ -1034,7 +957,7 @@ def extend_awi(awi: AlgebraWithInvolution, ext) -> tuple:
     else:
         build = adjoint_involution if form[1] is None else hermitian_involution
         inv_t = build(alg_t, RingMatrix(alg_t.center, alg_t.n, alg_t.n, mp(form[0].cells)))
-    return AlgebraWithInvolution(alg_t, inv_t, validate=True), mp
+    return AlgebraWithInvolution(alg_t, inv_t), mp
 
 
 # -- quaternions ---------------------------------------------------------------

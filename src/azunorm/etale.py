@@ -8,8 +8,6 @@ x^2 - s*y^2.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 from .rings import (ExactAlgebraError, NonUnitError, Poly, PolyQuotient, RingElem,
                     SearchExhausted, ShapeError)
 
@@ -78,28 +76,27 @@ class QuadraticEtale(PolyQuotient):
         return QuadraticEtale(total, total.elem(embed_p(self.s))), embed_c
 
     # -- unitary scalars and the constructive Hilbert 90 ------------------
-    @cached_property
-    def _unitary_payloads(self) -> tuple:
-        base = self.base
-        roots = {}
-        for x in base.elements_p():
-            roots.setdefault(base.mul_p(x, x), []).append(x)
-        one = base.one_p()
-        out = []
-        for y in base.elements_p():
-            want = base.add_p(one, base.mul_p(self.s, base.mul_p(y, y)))
-            out.extend((x, y) for x in roots.get(want, ()))
-        if any(self.norm_p(p) != one for p in out):
-            raise ExactAlgebraError("circle member does not have norm 1")
-        return tuple(out)
-
     def unitary_scalars(self):
         """All c with c*sigma(c) = 1, in canonical order, built once per ring.
 
         Each x goes under x*x, then each y reads the fibre over 1 + s*y*y.  Both
         run in elements_p (encode) order and y is the high digit, so no sort.
         """
-        return [RingElem(self, p) for p in self._unitary_payloads]
+        got = getattr(self, "_unitary_payloads", None)
+        if got is None:
+            base = self.base
+            roots = {}
+            for x in base.elements_p():
+                roots.setdefault(base.mul_p(x, x), []).append(x)
+            one = base.one_p()
+            got = []
+            for y in base.elements_p():
+                want = base.add_p(one, base.mul_p(self.s, base.mul_p(y, y)))
+                got.extend((x, y) for x in roots.get(want, ()))
+            if any(self.norm_p(p) != one for p in got):
+                raise ExactAlgebraError("circle member does not have norm 1")
+            self._unitary_payloads = got
+        return [RingElem(self, p) for p in got]
 
     def hilbert90_scalar(self, lam: RingElem) -> RingElem:
         """A unit c with c * sigma(c)^{-1} = lam, for norm-one lam.
@@ -124,9 +121,6 @@ class QuadraticEtale(PolyQuotient):
                 return c
         raise SearchExhausted(
             f"no unit c with c*sigma(c)^{{-1}} = {self.show(lam_p)} in {self!r}")
-
-    def _signature(self):
-        return ("poly-quot", self.base._signature(), self.modulus.coeffs)
 
     def __repr__(self):
         return f"{self.base!r}[sqrt({self.base.show(self.s)})]"

@@ -194,22 +194,21 @@ class FiniteAbelianPresentation:
     """A finite abelian group of ring units modulo a designated subgroup.
 
     Elements and the subgroup are payload sets over one ring; the quotient
-    is materialized as cosets keyed by their minimal representative.  With
-    check, both sets are verified to be groups by _check_subgroup, which
-    closes each from 1 under a few generators drawn from the set itself.
+    is materialized as cosets keyed by their minimal representative.  Both
+    sets are verified to be groups by _check_subgroup, which closes each
+    from 1 under a few generators drawn from the set itself.
     """
 
-    def __init__(self, ring: Ring, members, subgroup=None, check=True):
+    def __init__(self, ring: Ring, members, subgroup=None):
         self.ring = ring
         self.members = sorted(set(members), key=ring.encode)
         if subgroup is None:
             subgroup = [ring.one_p()]
         self.subgroup = sorted(set(subgroup), key=ring.encode)
-        if check:
-            _check_subgroup(ring, self.members)
-            if not set(self.subgroup) <= set(self.members):
-                raise ExactAlgebraError("subgroup member outside the group")
-            _check_subgroup(ring, self.subgroup)
+        _check_subgroup(ring, self.members)
+        if not set(self.subgroup) <= set(self.members):
+            raise ExactAlgebraError("subgroup member outside the group")
+        _check_subgroup(ring, self.subgroup)
         self._coset_of = {}
         self.cosets = []
         for g in self.members:

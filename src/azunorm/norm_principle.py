@@ -91,16 +91,15 @@ class PlusMinusSplit:
         return self.basis_inverse.apply(list(self.algebra.coords_p(payload)))
 
     def from_minus_coords(self, coords):
-        alg = self.algebra
-        acc = alg.zero_p()
-        for c, b in zip(coords, self.basis_minus):
-            acc = alg.add_p(acc, alg.scale_base_p(b, c))
-        return acc
+        return self._combination(coords, self.basis_minus)
 
     def from_plus_coords(self, coords):
+        return self._combination(coords, self.basis_plus)
+
+    def _combination(self, coords, basis):
         alg = self.algebra
         acc = alg.zero_p()
-        for c, b in zip(coords, self.basis_plus):
+        for c, b in zip(coords, basis):
             acc = alg.add_p(acc, alg.scale_base_p(b, c))
         return acc
 
@@ -141,11 +140,12 @@ def _omega(split: PlusMinusSplit, payload):
         v_coords = [base.one_p()]
     else:
         n_mat = RingMatrix.from_columns(base, [c[m + 1:] for c in cols[1:]])
-        if not n_mat.det().is_unit:
+        try:
+            n_inv = n_mat.inverse()
+        except NonUnitError:
             return False, None, None, None, None
         cbar = [base.neg_p(x) for x in cols[0][m + 1:]]
-        tail = n_mat.inverse().apply(cbar)
-        v_coords = [base.one_p()] + list(tail)
+        v_coords = [base.one_p()] + n_inv.apply(cbar)
     v = split.from_minus_coords(v_coords)
     av = alg.mul_p(payload, v)
     if not alg.is_unit_p(av):
@@ -216,15 +216,30 @@ def direct_np_witness(split: PlusMinusSplit, a: AlgebraElem) -> NPWitness:
                      v=AlgebraElem(alg, v))
 
 
-def np_witness(split: PlusMinusSplit, a: AlgebraElem, seed: int = 0,
-               max_random_tries: int = None) -> NPWitness:
+def _factored_np_witness(split: PlusMinusSplit, a: AlgebraElem, v2, v2inv, seed):
+    """Witness of a = v1 * v2 from direct witnesses of both factors, or None
+    when v1 = a * v2^-1 is outside the witness domain."""
+    alg = split.algebra
+    v1 = alg.mul_p(a.payload, v2inv)
+    m1, _, _, _, _ = _omega(split, v1)
+    if not m1:
+        return None
+    w1 = direct_np_witness(split, AlgebraElem(alg, v1))
+    w2 = direct_np_witness(split, AlgebraElem(alg, v2))
+    w = w1.w * w2.w
+    ok = w1.verified and w2.verified \
+        and _verify_witness(split.awi, a.payload, w.payload)
+    return NPWitness(input=a, route="factored", w=w, verified=ok,
+                     parts=(w1, w2), seed=seed)
+
+
+def np_witness(split: PlusMinusSplit, a: AlgebraElem, seed: int = 0) -> NPWitness:
     """Direct witness when possible, else a two-factor witness.
 
     The factor search first walks the precomputed anchored candidates in
-    canonical order, then draws seeded random units; the seed is recorded
-    in the witness for replay.
+    canonical order, then draws up to 4*|A| seeded random elements; the
+    seed is recorded in the witness for replay.
     """
-    awi = split.awi
     alg = split.algebra
     if not alg.is_unit_p(a.payload):
         raise PreconditionError("witness construction needs a unit")
@@ -232,39 +247,21 @@ def np_witness(split: PlusMinusSplit, a: AlgebraElem, seed: int = 0,
     if member:
         return direct_np_witness(split, a)
     for v2, v2inv in split.anchored_candidates():
-        v1 = alg.mul_p(a.payload, v2inv)
-        m1, _, _, _, _ = _omega(split, v1)
-        if not m1:
-            continue
-        w1 = direct_np_witness(split, AlgebraElem(alg, v1))
-        w2 = direct_np_witness(split, AlgebraElem(alg, v2))
-        w = w1.w * w2.w
-        ok = w1.verified and w2.verified \
-            and _verify_witness(awi, a.payload, w.payload)
-        return NPWitness(input=a, route="factored", w=w, verified=ok,
-                         parts=(w1, w2), seed=None)
+        got = _factored_np_witness(split, a, v2, v2inv, None)
+        if got is not None:
+            return got
     rng = random.Random(seed)
     size = alg.size
-    if max_random_tries is None:
-        max_random_tries = 4 * size
-    for _ in range(max_random_tries):
+    for _ in range(4 * size):
         v2 = alg.decode(rng.randrange(size))
         if not alg.is_unit_p(v2):
             continue
         m2, _, _, _, _ = _omega(split, v2)
         if not m2:
             continue
-        v1 = alg.mul_p(a.payload, alg.inv_p(v2))
-        m1, _, _, _, _ = _omega(split, v1)
-        if not m1:
-            continue
-        w1 = direct_np_witness(split, AlgebraElem(alg, v1))
-        w2 = direct_np_witness(split, AlgebraElem(alg, v2))
-        w = w1.w * w2.w
-        ok = w1.verified and w2.verified \
-            and _verify_witness(awi, a.payload, w.payload)
-        return NPWitness(input=a, route="factored", w=w, verified=ok,
-                         parts=(w1, w2), seed=seed)
+        got = _factored_np_witness(split, a, v2, alg.inv_p(v2), seed)
+        if got is not None:
+            return got
     raise SearchExhausted("no two-factor decomposition found")
 
 

@@ -2,8 +2,8 @@
 
 One place that builds the etale extensions, algebras with involution,
 ring extensions and polynomial-ring extensions exercised by the test
-suite and by the command line survey.  Everything is constructed lazily
-and cached, so repeated lookups are cheap.
+suite and by the command line survey.  Each call builds a fresh object;
+the caches live on the objects themselves (unit lists, circles, centers).
 """
 
 from __future__ import annotations
@@ -15,25 +15,15 @@ from .etale import QuadraticEtale
 from .rings import Poly, PolyQuotient, PrimeField, RingMatrix, Zmod
 from .transfers import FiniteFreeExtension, PolyExtension, etale_extension
 
-_CACHE: dict = {}
-
-
-def _cached(key, build):
-    if key not in _CACHE:
-        _CACHE[key] = build()
-    return _CACHE[key]
-
 
 def base_field(p: int):
-    return _cached(("field", p), lambda: PrimeField(p))
+    return PrimeField(p)
 
 
 def f9():
     """The nine-element field, presented as F_3 with a square root of -1."""
-    def build():
-        f3 = base_field(3)
-        return PolyQuotient(f3, Poly.from_ints(f3, [1, 0, 1]))
-    return _cached(("f9",), build)
+    f3 = base_field(3)
+    return PolyQuotient(f3, Poly.from_ints(f3, [1, 0, 1]))
 
 
 # -- quadratic etale extensions ------------------------------------------------
@@ -44,24 +34,22 @@ ETALE_NAMES = ("f3i", "f3split", "f5sqrt2", "f5split", "f7sqrt3",
 
 
 def etale_preset(name: str) -> QuadraticEtale:
-    def build():
-        if name == "f3i":
-            return QuadraticEtale(base_field(3), -1)
-        if name == "f3split":
-            return QuadraticEtale(base_field(3), 1)
-        if name == "f5sqrt2":
-            return QuadraticEtale(base_field(5), 2)
-        if name == "f5split":
-            return QuadraticEtale(base_field(5), 1)
-        if name == "f7sqrt3":
-            return QuadraticEtale(base_field(7), 3)
-        if name == "z9sqrt2":
-            return QuadraticEtale(_cached(("z9",), lambda: Zmod(9)), 2)
-        if name == "f9gen":
-            nine = f9()
-            return QuadraticEtale(nine, nine.elem((1, 1)))
-        raise KeyError(f"unknown etale preset {name!r}")
-    return _cached(("etale", name), build)
+    if name == "f3i":
+        return QuadraticEtale(base_field(3), -1)
+    if name == "f3split":
+        return QuadraticEtale(base_field(3), 1)
+    if name == "f5sqrt2":
+        return QuadraticEtale(base_field(5), 2)
+    if name == "f5split":
+        return QuadraticEtale(base_field(5), 1)
+    if name == "f7sqrt3":
+        return QuadraticEtale(base_field(7), 3)
+    if name == "z9sqrt2":
+        return QuadraticEtale(Zmod(9), 2)
+    if name == "f9gen":
+        nine = f9()
+        return QuadraticEtale(nine, nine.elem((1, 1)))
+    raise KeyError(f"unknown etale preset {name!r}")
 
 
 def etale_family():
@@ -90,51 +78,41 @@ def _hermitian_matrix(c: QuadraticEtale, n: int, h_name: str) -> RingMatrix:
 
 def unitary_m2_f3i(h_name: str = "identity") -> AlgebraWithInvolution:
     """2x2 matrices over F_3 with adjoined i, conjugate-adjoint involution."""
-    def build():
-        c = etale_preset("f3i")
-        a = MatrixAlgebra(c, 2)
-        return AlgebraWithInvolution(a, hermitian_involution(a, _hermitian_matrix(c, 2, h_name)))
-    return _cached(("m2f3i", h_name), build)
+    c = etale_preset("f3i")
+    a = MatrixAlgebra(c, 2)
+    return AlgebraWithInvolution(a, hermitian_involution(a, _hermitian_matrix(c, 2, h_name)))
 
 
 def unitary_m2_f5split() -> AlgebraWithInvolution:
     """2x2 matrices over the split rank-2 extension of F_5."""
-    def build():
-        c = etale_preset("f5split")
-        a = MatrixAlgebra(c, 2)
-        return AlgebraWithInvolution(a, hermitian_involution(a, RingMatrix.identity(c, 2)))
-    return _cached(("m2f5split",), build)
+    c = etale_preset("f5split")
+    a = MatrixAlgebra(c, 2)
+    return AlgebraWithInvolution(a, hermitian_involution(a, RingMatrix.identity(c, 2)))
 
 
 def degree_one_unitary(name: str) -> AlgebraWithInvolution:
     """The etale extension itself, viewed as a 1x1 matrix algebra."""
-    def build():
-        c = etale_preset(name)
-        a = MatrixAlgebra(c, 1)
-        return AlgebraWithInvolution(a, hermitian_involution(a, RingMatrix.identity(c, 1)))
-    return _cached(("deg1", name), build)
+    c = etale_preset(name)
+    a = MatrixAlgebra(c, 1)
+    return AlgebraWithInvolution(a, hermitian_involution(a, RingMatrix.identity(c, 1)))
 
 
 def matrix_preset(p: int, n: int) -> MatrixAlgebra:
-    return _cached(("matrix", p, n), lambda: MatrixAlgebra(base_field(p), n))
+    return MatrixAlgebra(base_field(p), n)
 
 
 def quaternion_preset(p: int):
     """(-1, -1) quaternions over F_p with conjugation; returns (table, awi)."""
-    def build():
-        t = quaternion_table(base_field(p), -1, -1)
-        return t, AlgebraWithInvolution(t, quaternion_conjugation(t))
-    return _cached(("quat", p), build)
+    t = quaternion_table(base_field(p), -1, -1)
+    return t, AlgebraWithInvolution(t, quaternion_conjugation(t))
 
 
 def dual_numbers(p: int = 3) -> TableAlgebra:
     """F_p[x]/(x^2): commutative with nilpotents, so not Azumaya."""
-    def build():
-        f = base_field(p)
-        z, o = f.zero_p(), f.one_p()
-        gamma = (((o, z), (z, o)), ((z, o), (z, z)))
-        return TableAlgebra(f, gamma, unit_index=0)
-    return _cached(("dual", p), build)
+    f = base_field(p)
+    z, o = f.zero_p(), f.one_p()
+    gamma = (((o, z), (z, o)), ((z, o), (z, z)))
+    return TableAlgebra(f, gamma, unit_index=0)
 
 
 # -- ring extensions and norm-inclusion pairs ----------------------------------
@@ -143,22 +121,20 @@ NORM_PAIR_NAMES = ("m2f3-f9", "m2f3-split", "m2f5-f25", "quatf3-f9")
 
 
 def quaternion_f3():
-    return _cached(("quatf3",), lambda: quaternion_table(base_field(3), -1, -1))
+    return quaternion_table(base_field(3), -1, -1)
 
 
 def norm_pair(name: str):
     """A shipped (algebra, extension) pair for the norm-inclusion check."""
-    def build():
-        if name == "m2f3-f9":
-            return matrix_preset(3, 2), etale_extension(etale_preset("f3i"))
-        if name == "m2f3-split":
-            return matrix_preset(3, 2), etale_extension(etale_preset("f3split"))
-        if name == "m2f5-f25":
-            return matrix_preset(5, 2), etale_extension(etale_preset("f5sqrt2"))
-        if name == "quatf3-f9":
-            return quaternion_f3(), etale_extension(etale_preset("f3i"))
-        raise KeyError(f"unknown norm pair {name!r}")
-    return _cached(("pair", name), build)
+    if name == "m2f3-f9":
+        return matrix_preset(3, 2), etale_extension(etale_preset("f3i"))
+    if name == "m2f3-split":
+        return matrix_preset(3, 2), etale_extension(etale_preset("f3split"))
+    if name == "m2f5-f25":
+        return matrix_preset(5, 2), etale_extension(etale_preset("f5sqrt2"))
+    if name == "quatf3-f9":
+        return quaternion_f3(), etale_extension(etale_preset("f3i"))
+    raise KeyError(f"unknown norm pair {name!r}")
 
 
 def norm_pairs():
@@ -170,21 +146,19 @@ ADDITIVITY_NAMES = ("powers-f3", "powers-f5", "m2-f3", "m2-f5")
 
 def additivity_case(name: str):
     """(algebra or None, left extension, right extension, d)."""
-    def build():
-        if name == "powers-f3":
-            return (None, FiniteFreeExtension.identity(base_field(3)),
-                    etale_extension(etale_preset("f3i")), 2)
-        if name == "powers-f5":
-            return (None, FiniteFreeExtension.identity(base_field(5)),
-                    etale_extension(etale_preset("f5sqrt2")), 2)
-        if name == "m2-f3":
-            return (matrix_preset(3, 2), FiniteFreeExtension.identity(base_field(3)),
-                    etale_extension(etale_preset("f3i")), 1)
-        if name == "m2-f5":
-            return (matrix_preset(5, 2), FiniteFreeExtension.identity(base_field(5)),
-                    etale_extension(etale_preset("f5sqrt2")), 1)
-        raise KeyError(f"unknown additivity case {name!r}")
-    return _cached(("additivity", name), build)
+    if name == "powers-f3":
+        return (None, FiniteFreeExtension.identity(base_field(3)),
+                etale_extension(etale_preset("f3i")), 2)
+    if name == "powers-f5":
+        return (None, FiniteFreeExtension.identity(base_field(5)),
+                etale_extension(etale_preset("f5sqrt2")), 2)
+    if name == "m2-f3":
+        return (matrix_preset(3, 2), FiniteFreeExtension.identity(base_field(3)),
+                etale_extension(etale_preset("f3i")), 1)
+    if name == "m2-f5":
+        return (matrix_preset(5, 2), FiniteFreeExtension.identity(base_field(5)),
+                etale_extension(etale_preset("f5sqrt2")), 1)
+    raise KeyError(f"unknown additivity case {name!r}")
 
 
 POLY_EXTENSION_NAMES = ("x2-1", "x2-tx-1")
@@ -192,11 +166,9 @@ POLY_EXTENSION_NAMES = ("x2-1", "x2-tx-1")
 
 def poly_extension_preset(name: str) -> PolyExtension:
     """Rank-2 extensions of F_5[t], one with a t-dependent modulus."""
-    def build():
-        f5 = base_field(5)
-        if name == "x2-1":
-            return PolyExtension(f5, [[-1], [], [1]])
-        if name == "x2-tx-1":
-            return PolyExtension(f5, [[-1], [0, -1], [1]])
-        raise KeyError(f"unknown polynomial extension {name!r}")
-    return _cached(("polyext", name), build)
+    f5 = base_field(5)
+    if name == "x2-1":
+        return PolyExtension(f5, [[-1], [], [1]])
+    if name == "x2-tx-1":
+        return PolyExtension(f5, [[-1], [0, -1], [1]])
+    raise KeyError(f"unknown polynomial extension {name!r}")

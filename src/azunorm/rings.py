@@ -8,7 +8,9 @@ operation is exact.  2 must be a unit in every constructed ring.
 Finite rings enumerate their elements in one fixed counting order: the
 little-endian integer encoding in which the constant coordinate is the
 least significant digit.  Every deterministic search in the package keys
-off this order, so do not reorder it.
+off this order, so do not reorder it.  encode_digits and decode_digits are
+the one place that order lives: quotients, products and algebras all code
+their payload tuples through them.
 """
 
 from __future__ import annotations
@@ -334,7 +336,7 @@ class Zmod(Ring):
 
 
 class PrimeField(Zmod):
-    """The field with p elements, p an odd prime."""
+    """The field with p elements, p an odd prime; equal to Z/p as a ring."""
 
     kind = "prime-field"
     is_field = True
@@ -343,10 +345,6 @@ class PrimeField(Zmod):
         if not _is_prime(p):
             raise ExactAlgebraError(f"{p} is not prime")
         super().__init__(p)
-
-    def _signature(self):
-        # Interchangeable with Z/p: same elements, same arithmetic.
-        return ("zmod", self.n)
 
     def __repr__(self):
         return f"F{self.n}"
@@ -357,6 +355,55 @@ def _strip(coeffs, zero):
     while i > 0 and coeffs[i - 1] == zero:
         i -= 1
     return tuple(coeffs[:i])
+
+
+# Coefficient tuples over a ring r, ascending degree: the arithmetic shared
+# by Poly and PolyRing.
+
+def _coeffs_zip(op, zero, a, b):
+    """op coefficientwise on zero-padded a and b, trailing zeros stripped."""
+    return _strip([op(x, y) for x, y in itertools.zip_longest(a, b, fillvalue=zero)],
+                  zero)
+
+
+def _coeffs_mul(r: "Ring", a, b):
+    if not a or not b:
+        return ()
+    zero = r.zero_p()
+    out = [zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x == zero:
+            continue
+        for j, y in enumerate(b):
+            out[i + j] = r.add_p(out[i + j], r.mul_p(x, y))
+    return _strip(out, zero)
+
+
+def _horner(r: "Ring", a, point):
+    acc = r.zero_p()
+    for c in reversed(a):
+        acc = r.add_p(r.mul_p(acc, point), c)
+    return acc
+
+
+def encode_digits(rings, payload) -> int:
+    """Little-endian code of a payload tuple; slot k is a digit of rings[k].
+
+    Slot 0 is the least significant digit.  This is the counting order of
+    every finite ring and algebra here, and decode_digits inverts it.
+    """
+    out = 0
+    for ring, x in zip(reversed(rings), reversed(payload)):
+        out = out * ring.size + ring.encode(x)
+    return out
+
+
+def decode_digits(rings, code: int) -> tuple:
+    out = []
+    for ring in rings:
+        code, digit = divmod(code, ring.size)
+        out.append(ring.decode(digit))
+    return tuple(out)
 
 
 class Poly:
@@ -407,30 +454,19 @@ class Poly:
     def __add__(self, other):
         self._same(other)
         r = self.ring
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(r, [r.add_p(self.coeff(i), other.coeff(i)) for i in range(n)])
+        return Poly(r, _coeffs_zip(r.add_p, r.zero_p(), self.coeffs, other.coeffs))
 
     def __sub__(self, other):
         self._same(other)
         r = self.ring
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(r, [r.sub_p(self.coeff(i), other.coeff(i)) for i in range(n)])
+        return Poly(r, _coeffs_zip(r.sub_p, r.zero_p(), self.coeffs, other.coeffs))
 
     def __neg__(self):
         return Poly(self.ring, [self.ring.neg_p(c) for c in self.coeffs])
 
     def __mul__(self, other):
         self._same(other)
-        r = self.ring
-        if self.is_zero or other.is_zero:
-            return Poly(r, [])
-        out = [r.zero_p()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == r.zero_p():
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = r.add_p(out[i + j], r.mul_p(a, b))
-        return Poly(r, out)
+        return Poly(self.ring, _coeffs_mul(self.ring, self.coeffs, other.coeffs))
 
     def __pow__(self, k: int):
         if k < 0:
@@ -451,11 +487,7 @@ class Poly:
     def evaluate(self, x: RingElem) -> RingElem:
         if x.ring != self.ring:
             raise ShapeError("evaluation point from a different ring")
-        r = self.ring
-        acc = r.zero_p()
-        for c in reversed(self.coeffs):
-            acc = r.add_p(r.mul_p(acc, x.payload), c)
-        return RingElem(r, acc)
+        return RingElem(self.ring, _horner(self.ring, self.coeffs, x.payload))
 
     def divmod_monic(self, m: "Poly"):
         """Quotient and remainder by a monic divisor (division-free)."""
@@ -526,6 +558,7 @@ class PolyQuotient(Ring):
         self._zero = base.zero_p()
         # x^deg reduced: -(low-order coefficients of the modulus)
         self._top = tuple(base.neg_p(modulus.coeff(j)) for j in range(self.deg))
+        self._digits = (base,) * self.deg
         self._unit_cache = {}
         self._inv_cache = {}
         if base.size is not None:
@@ -650,17 +683,10 @@ class PolyQuotient(Ring):
         return RingElem(self, self.embed_p(e.payload))
 
     def encode(self, a):
-        out = 0
-        for c in reversed(a):
-            out = out * self.base.size + self.base.encode(c)
-        return out
+        return encode_digits(self._digits, a)
 
     def decode(self, code):
-        out = []
-        for _ in range(self.deg):
-            code, digit = divmod(code, self.base.size)
-            out.append(self.base.decode(digit))
-        return tuple(out)
+        return decode_digits(self._digits, code)
 
     def _signature(self):
         return ("poly-quot", self.base._signature(), self.modulus.coeffs)
@@ -727,17 +753,10 @@ class ProductRing(Ring):
         return tuple(f.int_p(k) for f in self.factors)
 
     def encode(self, a):
-        out = 0
-        for f, x in zip(reversed(self.factors), reversed(a)):
-            out = out * f.size + f.encode(x)
-        return out
+        return encode_digits(self.factors, a)
 
     def decode(self, code):
-        out = []
-        for f in self.factors:
-            code, digit = divmod(code, f.size)
-            out.append(f.decode(digit))
-        return tuple(out)
+        return decode_digits(self.factors, code)
 
     def _signature(self):
         return ("product", tuple(f._signature() for f in self.factors))
@@ -776,28 +795,13 @@ class PolyRing(Ring):
         return (self.base.one_p(),)
 
     def add_p(self, a, b):
-        base = self.base
-        n = max(len(a), len(b))
-        zero = base.zero_p()
-        out = [base.add_p(a[i] if i < len(a) else zero, b[i] if i < len(b) else zero)
-               for i in range(n)]
-        return _strip(out, zero)
+        return _coeffs_zip(self.base.add_p, self.base.zero_p(), a, b)
 
     def neg_p(self, a):
         return tuple(self.base.neg_p(x) for x in a)
 
     def mul_p(self, a, b):
-        base = self.base
-        if not a or not b:
-            return ()
-        zero = base.zero_p()
-        out = [zero] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x == zero:
-                continue
-            for j, y in enumerate(b):
-                out[i + j] = base.add_p(out[i + j], base.mul_p(x, y))
-        return _strip(out, zero)
+        return _coeffs_mul(self.base, a, b)
 
     def is_unit_p(self, a):
         return len(a) == 1 and self.base.is_unit_p(a[0])
@@ -813,11 +817,7 @@ class PolyRing(Ring):
 
     def eval_p(self, a, point):
         """Evaluate a payload at a base payload, Horner style."""
-        base = self.base
-        acc = base.zero_p()
-        for c in reversed(a):
-            acc = base.add_p(base.mul_p(acc, point), c)
-        return acc
+        return _horner(self.base, a, point)
 
     def t_degree(self, a):
         return len(a) - 1
@@ -986,10 +986,6 @@ class RingMatrix:
         return RingMatrix(ring or self.ring, self.nrows, self.ncols,
                           [fn(a) for a in self.cells])
 
-    def submatrix(self, rows, cols) -> "RingMatrix":
-        return RingMatrix(self.ring, len(rows), len(cols),
-                          [self.at(i, j) for i in rows for j in cols])
-
     def apply(self, vec):
         """Matrix times a payload column vector."""
         if len(vec) != self.ncols:
@@ -1020,7 +1016,7 @@ class RingMatrix:
         return self.nrows
 
     def det(self) -> RingElem:
-        """Determinant: closed forms for n <= 2, else field elimination or Berkowitz."""
+        """Determinant: closed forms for n <= 2, else Gauss-Jordan (field) or Berkowitz."""
         n = self._square()
         r = self.ring
         if n == 0:
@@ -1028,7 +1024,7 @@ class RingMatrix:
         if n <= 2:
             return RingElem(r, self.cells[0] if n == 1 else det2_p(r, *self.cells))
         if r.is_field:
-            return RingElem(r, _field_det(r, self))
+            return RingElem(r, _gauss_jordan(r, [self.row(i) for i in range(n)], n)[1])
         v = _berkowitz_vector(r, self, n)
         det = v[n]  # (-1)^n * charpoly(0) with charpoly = det(tI - M)
         if n % 2 == 1:
@@ -1049,7 +1045,12 @@ class RingMatrix:
         if n == 0:
             return self
         if r.is_field:
-            return _field_inverse(r, self)
+            zero, one = r.zero_p(), r.one_p()
+            rows = [self.row(i) + [one if i == j else zero for j in range(n)]
+                    for i in range(n)]
+            if len(_gauss_jordan(r, rows, n)[0]) < n:
+                raise NonUnitError("determinant is not a unit")
+            return RingMatrix(r, n, n, [x for row in rows for x in row[n:]])
         v = _berkowitz_vector(r, self, n)  # charpoly coeffs, leading first
         c0 = v[n]
         if not r.is_unit_p(c0):
@@ -1136,65 +1137,40 @@ def _berkowitz_vector(r: Ring, m: RingMatrix, n: int):
     return v
 
 
-def _field_det(r: Ring, m: RingMatrix):
-    n = m.nrows
+def _gauss_jordan(r: Ring, rows, ncols: int):
+    """Reduced row echelon form over the field r, in place: the one elimination loop.
+
+    rows is a list of payload lists.  Pivots are taken in the first ncols
+    columns only; any later columns are an augmented block carried along.
+    Returns (pivot columns, det), det the signed product of the pivots when
+    each of the ncols columns has one and zero otherwise, so for a square
+    block it is that block's determinant.
+    """
     zero = r.zero_p()
-    rows = [m.row(i) for i in range(n)]
     det = r.one_p()
-    neg = False
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if rows[i][c] != zero:
-                piv = i
-                break
+    pivots = []
+    for c in range(ncols):
+        lead = len(pivots)
+        if lead == len(rows):
+            break
+        piv = next((i for i in range(lead, len(rows)) if rows[i][c] != zero), None)
         if piv is None:
-            return zero
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            neg = not neg
-        p = rows[c][c]
+            continue
+        if piv != lead:
+            rows[lead], rows[piv] = rows[piv], rows[lead]
+            det = r.neg_p(det)
+        p = rows[lead][c]
         det = r.mul_p(det, p)
         pinv = r.inv_p(p)
-        for i in range(c + 1, n):
-            f = rows[i][c]
-            if f == zero:
+        rl = rows[lead] = [r.mul_p(pinv, x) for x in rows[lead]]
+        for i, ri in enumerate(rows):
+            f = ri[c]
+            if i == lead or f == zero:
                 continue
-            f = r.mul_p(f, pinv)
-            ri, rc = rows[i], rows[c]
-            for j in range(c, n):
-                ri[j] = r.sub_p(ri[j], r.mul_p(f, rc[j]))
-    return r.neg_p(det) if neg else det
-
-
-def _field_inverse(r: Ring, m: RingMatrix) -> RingMatrix:
-    n = m.nrows
-    zero, one = r.zero_p(), r.one_p()
-    rows = [m.row(i) + [one if i == j else zero for j in range(n)] for i in range(n)]
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if rows[i][c] != zero:
-                piv = i
-                break
-        if piv is None:
-            raise NonUnitError("determinant is not a unit")
-        rows[c], rows[piv] = rows[piv], rows[c]
-        pinv = r.inv_p(rows[c][c])
-        rows[c] = [r.mul_p(pinv, x) for x in rows[c]]
-        for i in range(n):
-            if i == c:
-                continue
-            f = rows[i][c]
-            if f == zero:
-                continue
-            ri, rc = rows[i], rows[c]
-            for j in range(c, 2 * n):
-                ri[j] = r.sub_p(ri[j], r.mul_p(f, rc[j]))
-    cells = []
-    for i in range(n):
-        cells.extend(rows[i][n:])
-    return RingMatrix(r, n, n, cells)
+            for j in range(c, len(ri)):
+                ri[j] = r.sub_p(ri[j], r.mul_p(f, rl[j]))
+        pivots.append(c)
+    return pivots, det if len(pivots) == ncols else zero
 
 
 def row_reduce(r: Ring, rows):
@@ -1202,37 +1178,7 @@ def row_reduce(r: Ring, rows):
     if not r.is_field:
         raise ShapeError("row reduction needs a field")
     rows = [list(row) for row in rows]
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    zero = r.zero_p()
-    pivots = []
-    lead = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(lead, len(rows)):
-            if rows[i][c] != zero:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[lead], rows[piv] = rows[piv], rows[lead]
-        pinv = r.inv_p(rows[lead][c])
-        rows[lead] = [r.mul_p(pinv, x) for x in rows[lead]]
-        for i in range(len(rows)):
-            if i == lead:
-                continue
-            f = rows[i][c]
-            if f == zero:
-                continue
-            ri, rl = rows[i], rows[lead]
-            for j in range(c, ncols):
-                ri[j] = r.sub_p(ri[j], r.mul_p(f, rl[j]))
-        pivots.append(c)
-        lead += 1
-        if lead == len(rows):
-            break
-    return rows, pivots
+    return rows, (_gauss_jordan(r, rows, len(rows[0]))[0] if rows else [])
 
 
 def extend_basis(r: Ring, rows, blocks, want: int):
@@ -1309,13 +1255,11 @@ def solve_field(m: RingMatrix, rhs):
         raise ShapeError("solver needs a field")
     zero = r.zero_p()
     rows = [m.row(i) + [rhs[i]] for i in range(m.nrows)]
-    red, pivots = row_reduce(r, rows)
-    for row in red:
-        if all(x == zero for x in row[:-1]) and row[-1] != zero:
-            return None
+    pivots = _gauss_jordan(r, rows, m.ncols)[0]
+    # rows past the rank are zero on the left of the bar
+    if any(row[-1] != zero for row in rows[len(pivots):]):
+        return None
     sol = [zero] * m.ncols
-    for i, pc in enumerate(pivots):
-        if pc == m.ncols:
-            return None
-        sol[pc] = red[i][m.ncols]
+    for row, pc in zip(rows, pivots):
+        sol[pc] = row[-1]
     return sol

@@ -201,19 +201,16 @@ class NormInclusionReport:
     counterexamples: list = field(default_factory=list)
 
 
-def norm_inclusion_check(algebra: Algebra, ext: FiniteFreeExtension,
-                         extended_nrd_set=None) -> NormInclusionReport:
+def norm_inclusion_check(algebra: Algebra,
+                         ext: FiniteFreeExtension) -> NormInclusionReport:
     """Push reduced norms of the extended algebra down and test containment.
 
-    The extended unit-norm set may be precomputed and passed in (it is the
-    expensive side for big tables); by default both sides are enumerated
-    honestly here.
+    Both unit-norm sets are enumerated here.
     """
     if ext.base != algebra.base:
         raise ShapeError("extension base does not match the algebra")
     alg_t, _ = scalar_extension(algebra, ext)
-    if extended_nrd_set is None:
-        extended_nrd_set = nrd_unit_image(alg_t)
+    extended_nrd_set = nrd_unit_image(alg_t)
     base_set = nrd_unit_image(algebra)
     C = algebra.cdata.ring
     norm_p = ext.norm_p
@@ -400,10 +397,11 @@ class PolyExtension:
         c = self.base.int_p(at)
         return tuple(self.rt.eval_p(cc, c) for cc in payload)
 
-    def sample(self, rng: random.Random, t_degree: int = 2):
+    def sample(self, rng: random.Random):
+        """A seeded element whose x-coefficients have t-degree at most 2."""
         vec = []
         for _ in range(self.degree):
-            ints = [rng.randrange(self.base.size) for _ in range(t_degree + 1)]
+            ints = [rng.randrange(self.base.size) for _ in range(3)]
             vec.append(Poly(self.base,
                             [self.base.decode(i) for i in ints]).coeffs)
         return tuple(vec)

@@ -280,6 +280,17 @@ def test_nrd_is_multiplicative(name):
     check()
 
 
+@pytest.mark.parametrize("name", ["m2-f3", "quat-f3", "deg1-f5sqrt2"])
+def test_algebra_digit_codes_follow_the_enumeration(name):
+    alg = {"m2-f3": lambda: presets.matrix_preset(3, 2),
+           "quat-f3": presets.quaternion_f3,
+           "deg1-f5sqrt2": lambda: presets.degree_one_unitary("f5sqrt2").algebra}[name]()
+    elems = list(alg.elements_p())
+    assert len(elems) == alg.size
+    assert all(alg.decode(alg.encode(p)) == p for p in elems)
+    assert [alg.decode(i) for i in range(alg.size)] == elems
+
+
 # -- structure-table round trips -------------------------------------------------
 
 def test_split_to_table_preserves_norms():

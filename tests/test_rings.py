@@ -16,13 +16,14 @@ from azunorm.rings import (NonUnitError, NoRootError, Poly, PolyQuotient,
                            row_reduce, solve_field)
 
 Z9 = Zmod(9)
+F3 = PrimeField(3)
 F5 = PrimeField(5)
 F7 = PrimeField(7)
 
 
 def rand_matrix(rng, ring, n):
     return RingMatrix(ring, n, n,
-                      [ring.int_p(rng.randrange(ring.size)) for _ in range(n * n)])
+                      [ring.decode(rng.randrange(ring.size)) for _ in range(n * n)])
 
 
 def test_diagonal_determinant_frozen():
@@ -45,14 +46,18 @@ def test_determinant_of_identity_and_swap():
 
 
 def test_char_poly_matches_field_determinant():
-    # Berkowitz constant term against the Gaussian-elimination determinant
+    # Berkowitz constant term against the Gauss-Jordan determinant
     rng = random.Random(7)
-    for _ in range(300):
-        m = rand_matrix(rng, F7, 3)
-        p = m.char_poly()
-        assert p.is_monic and p.degree == 3
-        const = p.coeff_elem(0)
-        assert const == ((-F7.one) ** 3) * m.det()
+    f3i = presets.etale_preset("f3i")
+    assert f3i.is_field
+    for ring, n, count in ((F7, 3, 300), (F3, 3, 100), (F5, 3, 100), (f3i, 3, 100),
+                           (F3, 4, 100), (F5, 4, 100), (F7, 4, 100), (f3i, 4, 40)):
+        for _ in range(count):
+            m = rand_matrix(rng, ring, n)
+            p = m.char_poly()
+            assert p.is_monic and p.degree == n
+            const = p.coeff_elem(0)
+            assert const == ((-ring.one) ** n) * m.det()
 
 
 @pytest.mark.parametrize("name", ["Z9", "F5", "f3i", "f3split"])
@@ -100,15 +105,23 @@ def test_inverse_roundtrip_over_nonfield():
 
 
 def test_inverse_roundtrip_over_field():
+    # the inverse exists exactly when the determinant is nonzero
     rng = random.Random(98)
-    ident = RingMatrix.identity(F7, 4)
-    found = 0
-    while found < 100:
-        m = rand_matrix(rng, F7, 4)
-        if m.det() == F7.zero:
-            continue
-        assert m * m.inverse() == ident
-        found += 1
+    singular = 0
+    for ring, n in ((F7, 4), (F3, 3), (presets.etale_preset("f3i"), 3)):
+        ident = RingMatrix.identity(ring, n)
+        found = 0
+        while found < 100:
+            m = rand_matrix(rng, ring, n)
+            if m.det() == ring.zero:
+                singular += 1
+                with pytest.raises(NonUnitError):
+                    m.inverse()
+                continue
+            assert m * m.inverse() == ident
+            assert m.inverse() * m == ident
+            found += 1
+    assert singular > 0
 
 
 def test_monic_root_extraction_roundtrip():
@@ -156,6 +169,20 @@ def test_solve_field_roundtrip():
             continue
         assert m.apply(got) == rhs
         solved += 1
+    # over F3, None exactly when no vector solves the system
+    vecs = [list(v) for v in itertools.product(range(3), repeat=3)]
+    inconsistent = 0
+    for _ in range(40):
+        m = rand_matrix(rng, F3, 3)
+        images = [m.apply(v) for v in vecs]
+        for rhs in vecs:
+            got = solve_field(m, rhs)
+            assert (got is None) == (rhs not in images)
+            if got is None:
+                inconsistent += 1
+            else:
+                assert m.apply(got) == rhs
+    assert inconsistent > 0
 
 
 def test_unit_enumeration_counts():
