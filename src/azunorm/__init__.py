@@ -17,11 +17,11 @@ from .algebras import (Algebra, AlgebraElem, AlgebraWithInvolution,
                        AzumayaReport, CenterData, Involution, MatrixAlgebra,
                        TableAlgebra, adjoint_involution, azumaya_verify,
                        center_basis, center_data, extend_awi,
-                       hermitian_involution, involution_kind, nrd, nrd_data,
-                       quaternion_conjugation, quaternion_table,
-                       rebase_table, reduced_char_poly,
-                       reduced_char_poly_data, scalar_extension,
-                       table_involution, to_table, transpose_involution)
+                       hermitian_involution, nrd, nrd_data,
+                       quaternion_conjugation, quaternion_table, rebase_table,
+                       reduced_char_poly, reduced_char_poly_data,
+                       scalar_extension, table_involution, to_table,
+                       transpose_involution)
 from .groups import (FiniteAbelianPresentation, enumerate_special,
                      enumerate_unitary, functor_linear, functor_unitary,
                      nrd_image, nrd_unit_image)
@@ -53,8 +53,8 @@ __all__ = [
     "direct_np_witness", "enumerate_special", "enumerate_unitary",
     "enumerate_units", "etale_extension", "extend_awi", "find_lambda",
     "functor_linear", "functor_unitary", "h90_witness",
-    "hermitian_involution", "inclusion_check", "involution_kind",
-    "norm_inclusion_check", "np_bruteforce_check", "np_witness", "nrd",
+    "hermitian_involution", "inclusion_check", "norm_inclusion_check",
+    "np_bruteforce_check", "np_witness", "nrd",
     "nrd_data", "nrd_image", "nrd_unit_image", "nth_root_monic", "nullspace",
     "open_set_member", "pm_split", "quaternion_conjugation",
     "quaternion_table", "rebase_table", "reduced_char_poly",

@@ -19,117 +19,25 @@ from math import isqrt
 
 from .etale import QuadraticEtale
 from .rings import (ClassificationError, ExactAlgebraError, NonUnitError, Poly,
-                    Ring, RingElem, RingMatrix, ShapeError, decode_digits,
-                    det2_p, encode_digits, extend_basis, nth_root_monic,
-                    nullspace, solve_field)
+                    Ring, RingElem, RingMatrix, ShapeError, det2_p,
+                    extend_basis, nth_root_monic, nullspace, solve_field)
 
 
-class AlgebraElem:
-    """Element of an algebra presentation; immutable payload wrapper."""
-
-    __slots__ = ("owner", "payload", "_hash")
-
-    def __init__(self, owner, payload):
-        object.__setattr__(self, "owner", owner)
-        object.__setattr__(self, "payload", payload)
-        object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, *a):
-        raise AttributeError("AlgebraElem is immutable")
-
-    def _other(self, x):
-        if isinstance(x, AlgebraElem):
-            if x.owner != self.owner:
-                raise ShapeError("elements of different algebras")
-            return x.payload
-        if isinstance(x, int):
-            return self.owner.int_p(x)
-        return NotImplemented
-
-    def __add__(self, x):
-        p = self._other(x)
-        if p is NotImplemented:
-            return NotImplemented
-        return AlgebraElem(self.owner, self.owner.add_p(self.payload, p))
-
-    __radd__ = __add__
-
-    def __sub__(self, x):
-        p = self._other(x)
-        if p is NotImplemented:
-            return NotImplemented
-        return AlgebraElem(self.owner, self.owner.sub_p(self.payload, p))
-
-    def __mul__(self, x):
-        p = self._other(x)
-        if p is NotImplemented:
-            return NotImplemented
-        return AlgebraElem(self.owner, self.owner.mul_p(self.payload, p))
-
-    def __neg__(self):
-        return AlgebraElem(self.owner, self.owner.neg_p(self.payload))
-
-    def __pow__(self, k: int):
-        owner = self.owner
-        p = self.payload
-        if k < 0:
-            p = owner.inv_p(p)
-            k = -k
-        out = owner.one_p()
-        while k:
-            if k & 1:
-                out = owner.mul_p(out, p)
-            p = owner.mul_p(p, p)
-            k >>= 1
-        return AlgebraElem(owner, out)
-
-    @property
-    def is_unit(self) -> bool:
-        return self.owner.is_unit_p(self.payload)
-
-    def inverse(self) -> "AlgebraElem":
-        return AlgebraElem(self.owner, self.owner.inv_p(self.payload))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.payload == self.owner.zero_p()
-
-    def __eq__(self, x):
-        if not isinstance(x, AlgebraElem):
-            return NotImplemented
-        return self.payload == x.payload and self.owner == x.owner
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash(("alg-elem", self.payload))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def __repr__(self):
-        return self.owner.show(self.payload)
+# An algebra is a Ring, so its elements are RingElem; the name stays for callers.
+AlgebraElem = RingElem
 
 
-class Algebra:
-    """Shared layer over the two presentations."""
+class Algebra(Ring):
+    """A finite free algebra over the base: a ring that need not commute.
+
+    Its payloads are tuples over the slot rings in _digits (the center
+    entries of a matrix algebra, the base coordinates of a table), which
+    give it the digit code and counting order of every Ring.
+    """
 
     base: Ring
     rank: int  # free rank over the base
     form: str
-
-    def elem(self, payload) -> AlgebraElem:
-        return AlgebraElem(self, payload)
-
-    @property
-    def zero(self) -> AlgebraElem:
-        return AlgebraElem(self, self.zero_p())
-
-    @property
-    def one(self) -> AlgebraElem:
-        return AlgebraElem(self, self.one_p())
-
-    def sub_p(self, a, b):
-        return self.add_p(a, self.neg_p(b))
 
     def int_p(self, k: int):
         return self.scale_base_p(self.one_p(), self.base.int_p(k))
@@ -138,34 +46,12 @@ class Algebra:
     def size(self):
         return None if self.base.size is None else self.base.size ** self.rank
 
-    def elements_p(self):
-        # the order of decode: slot 0 is the least significant digit
-        ring, slots = self._slot_shape()
-        vals = list(ring.elements_p())
-        for combo in itertools.product(vals, repeat=slots):
-            yield combo[::-1]
-
-    def encode(self, a) -> int:
-        ring, slots = self._slot_shape()
-        return encode_digits((ring,) * slots, a)
-
-    def decode(self, code: int):
-        ring, slots = self._slot_shape()
-        return decode_digits((ring,) * slots, code)
-
     def _slot_basis(self):
         """Payloads with a single 1 slot: a basis over the slot ring."""
-        ring, slots = self._slot_shape()
+        ring, slots = self._digits[0], len(self._digits)
         zero, one = ring.zero_p(), ring.one_p()
         return [tuple(one if k == i else zero for k in range(slots))
                 for i in range(slots)]
-
-    def elements(self):
-        for p in self.elements_p():
-            yield AlgebraElem(self, p)
-
-    def units(self):
-        return [AlgebraElem(self, p) for p in self.elements_p() if self.is_unit_p(p)]
 
     def basis_p(self):
         """Standard base-module basis, as payloads."""
@@ -177,9 +63,6 @@ class Algebra:
             vec[i] = one
             out.append(self.from_coords_p(tuple(vec)))
         return out
-
-    def basis(self):
-        return [AlgebraElem(self, p) for p in self.basis_p()]
 
     def matrix_of(self, fn) -> RingMatrix:
         """Matrix over the base of a base-linear payload map, in the standard basis."""
@@ -200,12 +83,6 @@ class Algebra:
         if got is None:
             got = self._cdata = center_data(self)
         return got
-
-    def __eq__(self, other):
-        return isinstance(other, Algebra) and self._signature() == other._signature()
-
-    def __hash__(self):
-        return hash(self._signature())
 
 
 class MatrixAlgebra(Algebra):
@@ -229,6 +106,7 @@ class MatrixAlgebra(Algebra):
             self.center_rank = 1
         self.rank = n * n * self.center_rank
         self.degree = n
+        self._digits = (center,) * (n * n)
 
     # -- payload arithmetic ------------------------------------------------
     def zero_p(self):
@@ -317,9 +195,6 @@ class MatrixAlgebra(Algebra):
         n = self.n
         return tuple(c if i == j else z for i in range(n) for j in range(n))
 
-    def _slot_shape(self):
-        return self.center, self.n * self.n
-
     def _signature(self):
         return ("split", self.center._signature(), self.n)
 
@@ -348,6 +223,7 @@ class TableAlgebra(Algebra):
         self.base = base
         self.gamma = tuple(tuple(tuple(v) for v in row) for row in gamma)
         self.rank = len(self.gamma)
+        self._digits = (base,) * self.rank
         self.unit_index = unit_index
         if not (0 <= unit_index < self.rank):
             raise ShapeError("unit index out of range")
@@ -441,9 +317,6 @@ class TableAlgebra(Algebra):
     def from_coords_p(self, vec):
         return tuple(vec)
 
-    def _slot_shape(self):
-        return self.base, self.rank
-
     def _signature(self):
         return ("table", self.base._signature(), self.gamma, self.unit_index)
 
@@ -502,7 +375,7 @@ class Involution:
         return alg.from_coords_p(self.matrix.apply(alg.coords_p(payload)))
 
     def apply(self, e: AlgebraElem) -> AlgebraElem:
-        if e.owner != self.algebra:
+        if e.ring != self.algebra:
             raise ShapeError("element of a different algebra")
         return AlgebraElem(self.algebra, self.apply_p(e.payload))
 
@@ -835,11 +708,6 @@ class AlgebraWithInvolution:
                         "involution does not restrict to the etale conjugation")
 
 
-def involution_kind(awi: AlgebraWithInvolution) -> str:
-    """'orthogonal', 'symplectic' or 'unitary'."""
-    return awi.kind
-
-
 @dataclass
 class AzumayaReport:
     ok: bool
@@ -855,7 +723,7 @@ def azumaya_verify(algebra: Algebra) -> AzumayaReport:
     matrix algebra, the base of a table); the presentation is Azumaya
     exactly when that determinant is a unit.
     """
-    S = algebra._slot_shape()[0]
+    S = algebra._digits[0]
     basis = algebra._slot_basis()
     mul = algebra.mul_p
     # column (i, j): the matrix of z |-> b_i z b_j, flattened row-major

@@ -270,15 +270,20 @@ def _parse_task_line(value: str, lineno: int):
     name = parts[0]
     if name not in _TASK_PARAMS:
         _fail(lineno, f"unknown task {name!r}")
+    return name, _task_params(name, parts[1:], lineno), lineno
+
+
+def _task_params(name: str, tokens, lineno: int) -> dict:
+    """key=value tokens of task name; line 0 for a subcommand's argv tokens."""
     params = {}
-    for tok in parts[1:]:
+    for tok in tokens:
         if "=" not in tok:
             _fail(lineno, f"task parameter {tok!r} is not key=value")
         k, v = tok.split("=", 1)
         if k not in _TASK_PARAMS[name]:
             _fail(lineno, f"unknown parameter {k!r} for task {name}")
         params[k] = v
-    return name, params, lineno
+    return params
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -612,17 +617,11 @@ def main(argv=None) -> int:
 
     tasks = None
     if subcommand and subcommand != "run":
-        params = {}
-        for tok in args.params:
-            if "=" not in tok:
-                print(f"task parameter {tok!r} is not key=value", file=sys.stderr)
-                return 2
-            k, v = tok.split("=", 1)
-            if k not in _TASK_PARAMS[subcommand]:
-                print(f"unknown parameter {k!r} for {subcommand}", file=sys.stderr)
-                return 2
-            params[k] = v
-        tasks = [(subcommand, params, 0)]
+        try:
+            tasks = [(subcommand, _task_params(subcommand, args.params, 0), 0)]
+        except ConfigError as e:
+            print(e, file=sys.stderr)
+            return 2
     elif args.params:
         print("task parameters are only accepted with a task subcommand",
               file=sys.stderr)

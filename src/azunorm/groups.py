@@ -118,7 +118,7 @@ def nrd_image(s, awi: AlgebraWithInvolution = None):
     s = list(s)
     if not s:
         raise ExactAlgebraError("empty element set")
-    alg = s[0].owner
+    alg = s[0].ring
     if awi is not None:
         if awi.algebra != alg:
             raise ExactAlgebraError("elements do not belong to the given algebra")

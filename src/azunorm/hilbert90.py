@@ -28,7 +28,7 @@ def _require_unitary(awi: AlgebraWithInvolution, a: AlgebraElem = None):
     if awi.kind != "unitary":
         raise ClassificationError("a unitary involution is required")
     if a is not None:
-        if a.owner != awi.algebra:
+        if a.ring != awi.algebra:
             raise ClassificationError("element from a different algebra")
         if not awi.is_unitary_elem(a):
             raise ClassificationError("element is not norm-one unitary")

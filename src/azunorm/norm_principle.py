@@ -104,21 +104,20 @@ class PlusMinusSplit:
         return acc
 
     def anchored_candidates(self):
-        """Verified members of the witness domain of the form sqrt * symmetric."""
-        return self._anchored
+        """Verified members of the witness domain of the form sqrt * symmetric,
+        as (v, v^-1) pairs."""
+        return [(v, vinv) for v, vinv, _ in self._anchored]
 
     @cached_property
     def _anchored(self):
+        """(v, v^-1, _omega(v)) for each anchored candidate, in canonical order."""
         alg = self.algebra
         out = []
         for combo in itertools.product(list(alg.base.elements_p()), repeat=self.m):
-            p = self.from_plus_coords(combo)
-            v2 = alg.mul_p(self.sqrt_b, p)
-            if not alg.is_unit_p(v2):
-                continue
-            member, _, _, _, _ = _omega(self, v2)
-            if member:
-                out.append((v2, alg.inv_p(v2)))
+            v2 = alg.mul_p(self.sqrt_b, self.from_plus_coords(combo))
+            rec = _omega(self, v2)
+            if rec is not None:
+                out.append((v2, alg.inv_p(v2), rec))
         return out
 
 
@@ -127,11 +126,12 @@ def pm_split(awi: AlgebraWithInvolution) -> PlusMinusSplit:
 
 
 def _omega(split: PlusMinusSplit, payload):
-    """(member, v, av, r, u): the corner test and the companion unit."""
+    """(v, av, r, u): the companion unit v and a*v = r + u, or None when the
+    corner test puts the element outside the witness domain."""
     alg = split.algebra
     base = alg.base
     if not alg.is_unit_p(payload):
-        return False, None, None, None, None
+        return None
     m = split.m
     cols = []
     for b in split.basis_minus:
@@ -143,28 +143,27 @@ def _omega(split: PlusMinusSplit, payload):
         try:
             n_inv = n_mat.inverse()
         except NonUnitError:
-            return False, None, None, None, None
+            return None
         cbar = [base.neg_p(x) for x in cols[0][m + 1:]]
         v_coords = [base.one_p()] + n_inv.apply(cbar)
     v = split.from_minus_coords(v_coords)
     av = alg.mul_p(payload, v)
     if not alg.is_unit_p(av):
-        return False, v, av, None, None
+        return None
     fixed = split.to_fixed(av)
     zero = base.zero_p()
     if any(c != zero for c in fixed[m + 1:]):
         raise ExactAlgebraError("corner solve left a nonzero symmetric tail")
     r = fixed[m]
     u = split.from_minus_coords(fixed[:m])
-    return True, v, av, r, u
+    return v, av, r, u
 
 
 def open_set_member(split: PlusMinusSplit, a: AlgebraElem) -> bool:
     """Unit with invertible corner whose companion product is a unit."""
-    if a.owner != split.algebra:
+    if a.ring != split.algebra:
         raise ClassificationError("element from a different algebra")
-    member, _, _, _, _ = _omega(split, a.payload)
-    return member
+    return _omega(split, a.payload) is not None
 
 
 @dataclass
@@ -192,12 +191,17 @@ def _verify_witness(awi: AlgebraWithInvolution, a_payload, w_payload) -> bool:
 
 def direct_np_witness(split: PlusMinusSplit, a: AlgebraElem) -> NPWitness:
     """w = -(r+u)(r-u)^-1 from the companion decomposition a*v = r + u."""
+    rec = _omega(split, a.payload)
+    if rec is None:
+        raise PreconditionError("element is outside the witness domain")
+    return _direct_witness(split, a, rec)
+
+
+def _direct_witness(split: PlusMinusSplit, a: AlgebraElem, rec) -> NPWitness:
+    """The direct witness of a from its _omega record."""
     awi = split.awi
     alg = split.algebra
-    base = alg.base
-    member, v, av, r, u = _omega(split, a.payload)
-    if not member:
-        raise PreconditionError("element is outside the witness domain")
+    v, av, r, u = rec
     # replay the decomposition and the symmetry facts it relies on
     rp = alg.scale_base_p(alg.one_p(), r)
     if alg.add_p(rp, u) != av:
@@ -212,20 +216,21 @@ def direct_np_witness(split: PlusMinusSplit, a: AlgebraElem) -> NPWitness:
     w = alg.neg_p(alg.mul_p(av, alg.inv_p(sav)))
     ok = _verify_witness(awi, a.payload, w)
     return NPWitness(input=a, route="direct", w=AlgebraElem(alg, w), verified=ok,
-                     r=RingElem(base, r), u=AlgebraElem(alg, u),
+                     r=RingElem(alg.base, r), u=AlgebraElem(alg, u),
                      v=AlgebraElem(alg, v))
 
 
-def _factored_np_witness(split: PlusMinusSplit, a: AlgebraElem, v2, v2inv, seed):
+def _factored_np_witness(split: PlusMinusSplit, a: AlgebraElem, v2, v2inv, rec2,
+                         seed):
     """Witness of a = v1 * v2 from direct witnesses of both factors, or None
-    when v1 = a * v2^-1 is outside the witness domain."""
+    when v1 = a * v2^-1 is outside the witness domain; rec2 is _omega(v2)."""
     alg = split.algebra
     v1 = alg.mul_p(a.payload, v2inv)
-    m1, _, _, _, _ = _omega(split, v1)
-    if not m1:
+    rec1 = _omega(split, v1)
+    if rec1 is None:
         return None
-    w1 = direct_np_witness(split, AlgebraElem(alg, v1))
-    w2 = direct_np_witness(split, AlgebraElem(alg, v2))
+    w1 = _direct_witness(split, AlgebraElem(alg, v1), rec1)
+    w2 = _direct_witness(split, AlgebraElem(alg, v2), rec2)
     w = w1.w * w2.w
     ok = w1.verified and w2.verified \
         and _verify_witness(split.awi, a.payload, w.payload)
@@ -243,23 +248,21 @@ def np_witness(split: PlusMinusSplit, a: AlgebraElem, seed: int = 0) -> NPWitnes
     alg = split.algebra
     if not alg.is_unit_p(a.payload):
         raise PreconditionError("witness construction needs a unit")
-    member, _, _, _, _ = _omega(split, a.payload)
-    if member:
-        return direct_np_witness(split, a)
-    for v2, v2inv in split.anchored_candidates():
-        got = _factored_np_witness(split, a, v2, v2inv, None)
+    rec = _omega(split, a.payload)
+    if rec is not None:
+        return _direct_witness(split, a, rec)
+    for v2, v2inv, rec2 in split._anchored:
+        got = _factored_np_witness(split, a, v2, v2inv, rec2, None)
         if got is not None:
             return got
     rng = random.Random(seed)
     size = alg.size
     for _ in range(4 * size):
         v2 = alg.decode(rng.randrange(size))
-        if not alg.is_unit_p(v2):
+        rec2 = _omega(split, v2)
+        if rec2 is None:
             continue
-        m2, _, _, _, _ = _omega(split, v2)
-        if not m2:
-            continue
-        got = _factored_np_witness(split, a, v2, alg.inv_p(v2), seed)
+        got = _factored_np_witness(split, a, v2, alg.inv_p(v2), rec2, seed)
         if got is not None:
             return got
     raise SearchExhausted("no two-factor decomposition found")

@@ -1,4 +1,4 @@
-"""Exact arithmetic over small commutative rings with identity.
+"""Exact arithmetic over small finite rings with identity.
 
 Rings are described structurally (integers mod n, prime fields, monic
 polynomial quotients, finite products) and every element is carried in a
@@ -8,9 +8,10 @@ operation is exact.  2 must be a unit in every constructed ring.
 Finite rings enumerate their elements in one fixed counting order: the
 little-endian integer encoding in which the constant coordinate is the
 least significant digit.  Every deterministic search in the package keys
-off this order, so do not reorder it.  encode_digits and decode_digits are
-the one place that order lives: quotients, products and algebras all code
-their payload tuples through them.
+off this order, so do not reorder it.  Ring.encode, Ring.decode and
+Ring.elements_p are the one place that order lives: quotients, products and
+algebras code their payload tuples slot by slot over a tuple of slot rings,
+and only the leaf Zmod codes an int directly.
 """
 
 from __future__ import annotations
@@ -71,11 +72,14 @@ def _is_prime(n: int) -> bool:
 
 
 class Ring:
-    """Abstract finite (or polynomial) commutative ring with identity.
+    """Abstract finite (or polynomial) ring with identity; commutative unless
+    it is an Algebra.
 
     Concrete subclasses provide payload-level arithmetic.  A payload is a
-    hashable canonical value (an int for Z/n, a tuple of base payloads for
-    quotients and products).  Public callers normally use RingElem wrappers.
+    hashable canonical value (an int for Z/n, a tuple of slot payloads for
+    quotients, products and algebras).  A finite ring with tuple payloads
+    sets _digits, the ring of each slot, which gives it its digit code and
+    counting order.  Public callers normally use RingElem wrappers.
     """
 
     kind: str = "?"
@@ -112,11 +116,27 @@ class Ring:
         raise NotImplementedError
 
     def encode(self, a) -> int:
-        """Little-endian integer encoding; the canonical sort key."""
-        raise NotImplementedError
+        """Little-endian integer code, slot 0 the least significant digit;
+        the canonical sort key, inverted by decode."""
+        out = 0
+        for ring, x in zip(reversed(self._digits), reversed(a)):
+            out = out * ring.size + ring.encode(x)
+        return out
 
     def decode(self, code: int):
-        raise NotImplementedError
+        out = []
+        for ring in self._digits:
+            code, digit = divmod(code, ring.size)
+            out.append(ring.decode(digit))
+        return tuple(out)
+
+    def elements_p(self):
+        """Every payload in counting order: decode(0), decode(1), ..."""
+        if self.size is None:
+            raise ExactAlgebraError(f"{self!r} is not enumerable")
+        slots = [list(ring.elements_p()) for ring in reversed(self._digits)]
+        for combo in itertools.product(*slots):
+            yield combo[::-1]
 
     def _signature(self) -> tuple:
         raise NotImplementedError
@@ -136,16 +156,6 @@ class Ring:
     def from_int(self, k: int) -> "RingElem":
         return RingElem(self, self.int_p(k))
 
-    def elements_p(self):
-        if self.size is None:
-            raise ExactAlgebraError(f"{self!r} is not enumerable")
-        for code in range(self.size):
-            yield self.decode(code)
-
-    def elements(self):
-        for p in self.elements_p():
-            yield RingElem(self, p)
-
     def units(self):
         """All units, in canonical order (cached)."""
         got = getattr(self, "_unit_list", None)
@@ -162,8 +172,9 @@ class Ring:
         while k:
             if k & 1:
                 out = self.mul_p(out, a)
-            a = self.mul_p(a, a)
             k >>= 1
+            if k:
+                a = self.mul_p(a, a)
         return out
 
     def is_reduced(self) -> bool:
@@ -325,6 +336,9 @@ class Zmod(Ring):
     def decode(self, code):
         return code
 
+    def elements_p(self):
+        return iter(range(self.n))
+
     def _signature(self):
         return ("zmod", self.n)
 
@@ -384,26 +398,6 @@ def _horner(r: "Ring", a, point):
     for c in reversed(a):
         acc = r.add_p(r.mul_p(acc, point), c)
     return acc
-
-
-def encode_digits(rings, payload) -> int:
-    """Little-endian code of a payload tuple; slot k is a digit of rings[k].
-
-    Slot 0 is the least significant digit.  This is the counting order of
-    every finite ring and algebra here, and decode_digits inverts it.
-    """
-    out = 0
-    for ring, x in zip(reversed(rings), reversed(payload)):
-        out = out * ring.size + ring.encode(x)
-    return out
-
-
-def decode_digits(rings, code: int) -> tuple:
-    out = []
-    for ring in rings:
-        code, digit = divmod(code, ring.size)
-        out.append(ring.decode(digit))
-    return tuple(out)
 
 
 class Poly:
@@ -476,8 +470,9 @@ class Poly:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     def scale(self, c: RingElem) -> "Poly":
@@ -682,12 +677,6 @@ class PolyQuotient(Ring):
             raise ShapeError("not a base element")
         return RingElem(self, self.embed_p(e.payload))
 
-    def encode(self, a):
-        return encode_digits(self._digits, a)
-
-    def decode(self, code):
-        return decode_digits(self._digits, code)
-
     def _signature(self):
         return ("poly-quot", self.base._signature(), self.modulus.coeffs)
 
@@ -714,10 +703,10 @@ class ProductRing(Ring):
     kind = "product"
 
     def __init__(self, factors):
-        factors = list(factors)
+        factors = tuple(factors)
         if not factors:
             raise ExactAlgebraError("need at least one factor")
-        self.factors = factors
+        self.factors = self._digits = factors
         self.size = 1
         for f in factors:
             if f.size is None:
@@ -751,12 +740,6 @@ class ProductRing(Ring):
 
     def int_p(self, k):
         return tuple(f.int_p(k) for f in self.factors)
-
-    def encode(self, a):
-        return encode_digits(self.factors, a)
-
-    def decode(self, code):
-        return decode_digits(self.factors, code)
 
     def _signature(self):
         return ("product", tuple(f._signature() for f in self.factors))
@@ -923,9 +906,6 @@ class RingMatrix:
 
     def at(self, i, j):
         return self.cells[i * self.ncols + j]
-
-    def entry(self, i, j) -> RingElem:
-        return RingElem(self.ring, self.at(i, j))
 
     def row(self, i):
         return list(self.cells[i * self.ncols:(i + 1) * self.ncols])

@@ -16,7 +16,7 @@ from azunorm.algebras import (AlgebraWithInvolution, Involution, MatrixAlgebra,
                               reduced_char_poly, reduced_char_poly_data,
                               scalar_extension, to_table, transpose_involution)
 from azunorm.rings import (ClassificationError, NonUnitError, PrimeField,
-                           RingMatrix)
+                           RingElem, RingMatrix, ShapeError)
 from azunorm.transfers import etale_extension
 
 F3 = PrimeField(3)
@@ -289,6 +289,30 @@ def test_algebra_digit_codes_follow_the_enumeration(name):
     assert len(elems) == alg.size
     assert all(alg.decode(alg.encode(p)) == p for p in elems)
     assert [alg.decode(i) for i in range(alg.size)] == elems
+
+
+@pytest.mark.parametrize("name", ["m2-f3i", "quat-f3"])
+def test_algebra_elements_are_ring_elements(name):
+    build = {"m2-f3i": lambda: presets.unitary_m2_f3i("identity").algebra,
+             "quat-f3": presets.quaternion_f3}[name]
+    alg = build()
+    rng = random.Random(17)
+    units = []
+    while len(units) < 8:
+        p = alg.decode(rng.randrange(alg.size))
+        if alg.is_unit_p(p):
+            units.append(alg.elem(p))
+    for x in units:
+        assert isinstance(x, RingElem)
+        assert x ** -1 == x.inverse()
+        assert x ** 3 == x * x * x
+    payloads = [x.payload for x in units]
+    again = build()
+    seen = {alg.elem(p) for p in payloads} | {again.elem(p) for p in payloads}
+    assert len(seen) == len(set(payloads))
+    assert all(again.elem(p) in seen for p in payloads)
+    with pytest.raises(ShapeError):
+        units[0] + alg.cdata.ring.one
 
 
 # -- structure-table round trips -------------------------------------------------

@@ -212,6 +212,8 @@ def test_subcommand_rejects_unknown_param(tmp_path, capsys):
     path = write(tmp_path, UNITARY_CFG)
     assert cli.main(["groups", "--config", path, "depth=2"]) == 2
     assert "unknown parameter" in capsys.readouterr().err
+    assert cli.main(["groups", "--config", path, "which"]) == 2
+    assert "is not key=value" in capsys.readouterr().err
 
 
 def test_params_without_subcommand_rejected(tmp_path, capsys):

@@ -4,7 +4,7 @@ brute-force set comparison they are checked against."""
 
 import pytest
 
-from azunorm import presets
+from azunorm import norm_principle, presets
 from azunorm.norm_principle import (NPWitness, PreconditionError, PlusMinusSplit,
                                     direct_np_witness, np_bruteforce_check,
                                     np_witness, open_set_member, pm_split)
@@ -155,3 +155,21 @@ def test_anchored_candidates_land_in_domain():
         if count >= 20:
             break
     assert count == 20
+
+
+def test_direct_route_computes_omega_once(monkeypatch):
+    aw, sp = m2_split()
+    alg = aw.algebra
+    a = next(alg.elem(p) for p in alg.elements_p()
+             if alg.is_unit_p(p) and open_set_member(sp, alg.elem(p)))
+    real = norm_principle._omega
+    calls = []
+
+    def counted(split, payload):
+        calls.append(payload)
+        return real(split, payload)
+
+    monkeypatch.setattr(norm_principle, "_omega", counted)
+    w = np_witness(sp, a)
+    assert w.route == "direct" and w.verified
+    assert calls == [a.payload]

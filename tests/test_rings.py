@@ -12,8 +12,8 @@ from azunorm import presets
 from azunorm.algebras import MatrixAlgebra
 from azunorm.rings import (NonUnitError, NoRootError, Poly, PolyQuotient,
                            PolyRing, PrimeField, ProductRing, RingMatrix,
-                           Zmod, enumerate_units, nth_root_monic, nullspace,
-                           row_reduce, solve_field)
+                           ShapeError, Zmod, enumerate_units, nth_root_monic,
+                           nullspace, row_reduce, solve_field)
 
 Z9 = Zmod(9)
 F3 = PrimeField(3)
@@ -134,6 +134,45 @@ def test_monic_root_extraction_roundtrip():
         q = Poly(ring, coeffs + [ring.one_p()])
         root = nth_root_monic(q ** n, n)
         assert root == q
+
+
+def test_square_makes_two_polynomial_products(monkeypatch):
+    q = Poly.from_ints(F7, [3, 1, 2, 1])
+    want = q * q
+    real = Poly.__mul__
+    calls = []
+
+    def counted(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    assert q ** 2 == want
+    assert len(calls) <= 2
+
+
+@pytest.mark.parametrize("name", ["Z9", "f3i", "m2-f3"])
+def test_powers_match_repeated_multiplication(name):
+    ring = {"Z9": lambda: Z9, "f3i": lambda: presets.etale_preset("f3i"),
+            "m2-f3": lambda: MatrixAlgebra(F3, 2)}[name]()
+    rng = random.Random(13)
+    one = ring.one_p()
+    for _ in range(12):
+        a = ring.decode(rng.randrange(ring.size))
+        q = Poly(ring, [ring.decode(rng.randrange(ring.size)) for _ in range(2)] + [one])
+        want, want_q = one, Poly(ring, [one])
+        for k in range(10):
+            assert ring.pow_p(a, k) == want
+            assert q ** k == want_q
+            want, want_q = ring.mul_p(want, a), want_q * q
+        with pytest.raises(ShapeError):
+            q ** -1
+        if ring.is_unit_p(a):
+            inv = ring.inv_p(a)
+            want = one
+            for k in range(1, 4):
+                want = ring.mul_p(want, inv)
+                assert ring.pow_p(a, -k) == want
 
 
 def test_monic_root_rejects_non_powers():
