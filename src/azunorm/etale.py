@@ -55,11 +55,11 @@ class QuadraticEtale(PolyQuotient):
             raise ShapeError("not an element of this extension")
         return RingElem(self.base, self.norm_p(c.payload))
 
-    def is_unit_p(self, a):
-        # the norm criterion: a unit iff norm(a) unit in the base
+    def decide_unit_p(self, a) -> bool:
+        """The norm criterion: a is a unit iff norm(a) is a unit in the base."""
         return self.base.is_unit_p(self.norm_p(a))
 
-    def inv_p(self, a):
+    def invert_p(self, a):
         base = self.base
         n = self.norm_p(a)
         if not base.is_unit_p(n):

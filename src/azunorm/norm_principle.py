@@ -110,14 +110,15 @@ class PlusMinusSplit:
 
     @cached_property
     def _anchored(self):
-        """(v, v^-1, _omega(v)) for each anchored candidate, in canonical order."""
+        """(v, v^-1, direct witness of v) per anchored candidate, in canonical order."""
         alg = self.algebra
         out = []
         for combo in itertools.product(list(alg.base.elements_p()), repeat=self.m):
             v2 = alg.mul_p(self.sqrt_b, self.from_plus_coords(combo))
             rec = _omega(self, v2)
             if rec is not None:
-                out.append((v2, alg.inv_p(v2), rec))
+                out.append((v2, alg.inv_p(v2),
+                            _direct_witness(self, AlgebraElem(alg, v2), rec)))
         return out
 
 
@@ -220,17 +221,20 @@ def _direct_witness(split: PlusMinusSplit, a: AlgebraElem, rec) -> NPWitness:
                      v=AlgebraElem(alg, v))
 
 
-def _factored_np_witness(split: PlusMinusSplit, a: AlgebraElem, v2, v2inv, rec2,
-                         seed):
-    """Witness of a = v1 * v2 from direct witnesses of both factors, or None
-    when v1 = a * v2^-1 is outside the witness domain; rec2 is _omega(v2)."""
+def _cofactor_witness(split: PlusMinusSplit, a: AlgebraElem, v2inv):
+    """Direct witness of v1 = a * v2^-1, or None when v1 is outside the
+    witness domain."""
     alg = split.algebra
     v1 = alg.mul_p(a.payload, v2inv)
     rec1 = _omega(split, v1)
     if rec1 is None:
         return None
-    w1 = _direct_witness(split, AlgebraElem(alg, v1), rec1)
-    w2 = _direct_witness(split, AlgebraElem(alg, v2), rec2)
+    return _direct_witness(split, AlgebraElem(alg, v1), rec1)
+
+
+def _factored_np_witness(split: PlusMinusSplit, a: AlgebraElem, w1: NPWitness,
+                         w2: NPWitness, seed):
+    """Witness of a = v1 * v2 from the direct witnesses of both factors."""
     w = w1.w * w2.w
     ok = w1.verified and w2.verified \
         and _verify_witness(split.awi, a.payload, w.payload)
@@ -251,10 +255,10 @@ def np_witness(split: PlusMinusSplit, a: AlgebraElem, seed: int = 0) -> NPWitnes
     rec = _omega(split, a.payload)
     if rec is not None:
         return _direct_witness(split, a, rec)
-    for v2, v2inv, rec2 in split._anchored:
-        got = _factored_np_witness(split, a, v2, v2inv, rec2, None)
-        if got is not None:
-            return got
+    for _, v2inv, w2 in split._anchored:
+        w1 = _cofactor_witness(split, a, v2inv)
+        if w1 is not None:
+            return _factored_np_witness(split, a, w1, w2, None)
     rng = random.Random(seed)
     size = alg.size
     for _ in range(4 * size):
@@ -262,9 +266,10 @@ def np_witness(split: PlusMinusSplit, a: AlgebraElem, seed: int = 0) -> NPWitnes
         rec2 = _omega(split, v2)
         if rec2 is None:
             continue
-        got = _factored_np_witness(split, a, v2, alg.inv_p(v2), rec2, seed)
-        if got is not None:
-            return got
+        w1 = _cofactor_witness(split, a, alg.inv_p(v2))
+        if w1 is not None:
+            w2 = _direct_witness(split, AlgebraElem(alg, v2), rec2)
+            return _factored_np_witness(split, a, w1, w2, seed)
     raise SearchExhausted("no two-factor decomposition found")
 
 

@@ -58,6 +58,15 @@ class ConfigError(ExactAlgebraError):
         self.line = line
 
 
+# A PolyQuotient over a base that is not a Zmod (a tower) with at most
+# TABLE_MAX elements fills add, mul and neg tables entry by entry from the
+# generic arithmetic, so a table holds at most 6,561 entries.  Rings over a
+# Zmod keep the generic arithmetic for now (ROADMAP direction 2).
+TABLE_MAX = 81
+# Per-element unit and inverse caches are kept only up to this ring size.
+CACHE_MAX = 20000
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -556,6 +565,12 @@ class PolyQuotient(Ring):
         self._digits = (base,) * self.deg
         self._unit_cache = {}
         self._inv_cache = {}
+        self._caching = self.size is not None and self.size <= CACHE_MAX
+        tabled = (self.size is not None and self.size <= TABLE_MAX
+                  and not isinstance(base, Zmod))
+        self._add_t = {} if tabled else None
+        self._mul_t = {} if tabled else None
+        self._neg_t = {} if tabled else None
         if base.size is not None:
             self._check_two_unit()
 
@@ -597,14 +612,45 @@ class PolyQuotient(Ring):
         return (self.base.one_p(),) + (self._zero,) * (self.deg - 1)
 
     def add_p(self, a, b):
+        table = self._add_t
+        if table is None:
+            return self.generic_add_p(a, b)
+        try:
+            return table[a][b]
+        except KeyError:
+            out = table.setdefault(a, {})[b] = self.generic_add_p(a, b)
+            return out
+
+    def neg_p(self, a):
+        table = self._neg_t
+        if table is None:
+            return self.generic_neg_p(a)
+        try:
+            return table[a]
+        except KeyError:
+            out = table[a] = self.generic_neg_p(a)
+            return out
+
+    def mul_p(self, a, b):
+        table = self._mul_t
+        if table is None:
+            return self.generic_mul_p(a, b)
+        try:
+            return table[a][b]
+        except KeyError:
+            out = table.setdefault(a, {})[b] = self.generic_mul_p(a, b)
+            return out
+
+    # -- the generic tuple arithmetic: table filler and test oracle ---------
+    def generic_add_p(self, a, b):
         add = self.base.add_p
         return tuple(add(x, y) for x, y in zip(a, b))
 
-    def neg_p(self, a):
+    def generic_neg_p(self, a):
         neg = self.base.neg_p
         return tuple(neg(x) for x in a)
 
-    def mul_p(self, a, b):
+    def generic_mul_p(self, a, b):
         base = self.base
         d = self.deg
         zero = self._zero
@@ -647,23 +693,30 @@ class PolyQuotient(Ring):
     def is_unit_p(self, a):
         cached = self._unit_cache.get(a)
         if cached is None:
-            cached = self.mult_matrix(a).det().is_unit
-            if self.size is not None and self.size <= 20000:
+            cached = self.decide_unit_p(a)
+            if self._caching:
                 self._unit_cache[a] = cached
         return cached
 
     def inv_p(self, a):
         cached = self._inv_cache.get(a)
-        if cached is not None:
-            return cached
+        if cached is None:
+            cached = self.invert_p(a)
+            if self._caching:
+                self._inv_cache[a] = cached
+        return cached
+
+    def decide_unit_p(self, a) -> bool:
+        """The uncached unit test: multiplication by a has a unit determinant."""
+        return self.mult_matrix(a).det().is_unit
+
+    def invert_p(self, a):
+        """The uncached inverse, read off the inverse multiplication matrix."""
         try:
             minv = self.mult_matrix(a).inverse()
         except NonUnitError:
             raise NonUnitError(f"{self.show(a)} is not a unit in {self!r}")
-        out = tuple(minv.cells[i * self.deg] for i in range(self.deg))
-        if self.size is not None and self.size <= 20000:
-            self._inv_cache[a] = out
-        return out
+        return tuple(minv.cells[i * self.deg] for i in range(self.deg))
 
     def int_p(self, k):
         return (self.base.int_p(k),) + (self._zero,) * (self.deg - 1)

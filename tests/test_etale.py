@@ -7,7 +7,8 @@ from ring_laws import check_enumeration, check_laws, elements
 
 from azunorm import presets
 from azunorm.etale import QuadraticEtale
-from azunorm.rings import ExactAlgebraError, NonUnitError, PrimeField, ShapeError, Zmod
+from azunorm.rings import (TABLE_MAX, ExactAlgebraError, NonUnitError, PolyQuotient,
+                           PrimeField, ShapeError, Zmod)
 from azunorm.transfers import etale_extension
 
 F3 = PrimeField(3)
@@ -172,3 +173,82 @@ def test_ring_laws(name, build, data):
 @pytest.mark.parametrize("name,build", ETALE_RINGS, ids=[n for n, _ in ETALE_RINGS])
 def test_enumeration_order_and_codes(name, build):
     check_enumeration(build())
+
+
+# -- ring tables against the generic arithmetic, their named oracle -----------------
+
+TABLED = ("f9gen", "f3i-extended", "f3split-extended")
+
+
+@pytest.mark.parametrize("name,build", ETALE_RINGS + [("f9", presets.f9)],
+                         ids=[n for n, _ in ETALE_RINGS] + ["f9"])
+def test_only_small_towers_hold_tables(name, build):
+    c = build()
+    tower = not isinstance(c.base, Zmod) and c.size <= TABLE_MAX
+    assert tower == (name in TABLED)
+    assert all((t is not None) == tower for t in (c._add_t, c._mul_t, c._neg_t))
+
+
+@pytest.mark.parametrize("name", TABLED)
+def test_tables_match_the_generic_arithmetic(name):
+    c = dict(ETALE_RINGS)[name]()
+    elems = list(c.elements_p())
+    for a in elems:
+        c.neg_p(a)
+        for b in elems:
+            c.add_p(a, b)
+            c.mul_p(a, b)
+    assert len(c._neg_t) == len(c._add_t) == len(c._mul_t) == c.size
+    for a in elems:
+        assert c._neg_t[a] == c.generic_neg_p(a)
+        assert len(c._add_t[a]) == len(c._mul_t[a]) == c.size
+        for b in elems:
+            assert c._add_t[a][b] == c.generic_add_p(a, b)
+            assert c._mul_t[a][b] == c.generic_mul_p(a, b)
+
+
+@pytest.mark.parametrize("name", [n for n, _ in ETALE_RINGS if n != "f9gen-extended"])
+def test_norm_inverse_matches_the_multiplication_matrix(name):
+    # the cached norm formula against PolyQuotient's matrix inverse, twice,
+    # so the second round reads the caches
+    c = dict(ETALE_RINGS)[name]()
+    for _ in range(2):
+        for a in c.elements_p():
+            unit = PolyQuotient.decide_unit_p(c, a)
+            assert c.is_unit_p(a) == unit
+            if unit:
+                assert c.inv_p(a) == PolyQuotient.invert_p(c, a)
+            else:
+                with pytest.raises(NonUnitError):
+                    c.inv_p(a)
+
+
+def test_second_pass_over_f9gen_makes_no_generic_products(monkeypatch):
+    c = presets.etale_preset("f9gen")
+    elems = list(c.elements_p())
+    first = [c.mul_p(a, b) for a in elems for b in elems]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+
+    monkeypatch.setattr(c, "generic_mul_p", counted)
+    monkeypatch.setattr(c.base, "mul_p", counted)
+    assert [c.mul_p(a, b) for a in elems for b in elems] == first
+    assert calls == []
+
+
+def test_etale_inverse_computed_once(monkeypatch):
+    c = presets.etale_preset("f3i")
+    units = [u.payload for u in c.units()]
+    real = c.base.inv_p
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(c.base, "inv_p", counted)
+    first = [c.inv_p(u) for u in units]
+    assert [c.inv_p(u) for u in units] == first
+    assert len(calls) == len(units) == 8

@@ -2,9 +2,15 @@
 invertible-corner domain, direct and factored witnesses, and the
 brute-force set comparison they are checked against."""
 
+import hashlib
+import random
+
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from azunorm import norm_principle, presets
+from azunorm.groups import enumerate_unitary
+from azunorm.hilbert90 import h90_witness
 from azunorm.norm_principle import (NPWitness, PreconditionError, PlusMinusSplit,
                                     direct_np_witness, np_bruteforce_check,
                                     np_witness, open_set_member, pm_split)
@@ -173,3 +179,84 @@ def test_direct_route_computes_omega_once(monkeypatch):
     w = np_witness(sp, a)
     assert w.route == "direct" and w.verified
     assert calls == [a.payload]
+
+
+def _seeded_units(alg, count, seed=7):
+    rng = random.Random(seed)
+    units = []
+    while len(units) < count:
+        p = alg.decode(rng.randrange(alg.size))
+        if alg.is_unit_p(p):
+            units.append(p)
+    return units
+
+
+def test_anchored_factor_witness_built_once(monkeypatch):
+    aw, sp = m2_split()
+    alg = aw.algebra
+    real = norm_principle._direct_witness
+    records = []
+
+    def counted(split, a, rec):
+        records.append(rec)
+        return real(split, a, rec)
+
+    monkeypatch.setattr(norm_principle, "_direct_witness", counted)
+    anchored = sp.anchored_candidates()
+    assert len(records) == len(anchored)
+    ws = [np_witness(sp, alg.elem(p), seed=i)
+          for i, p in enumerate(_seeded_units(alg, 120))]
+    randomly = sum(w.seed is not None for w in ws)
+    assert sum(w.route == "factored" for w in ws) - randomly >= 40
+    # one build per direct witness and per first factor, and per second
+    # factor drawn at random; the anchored second factors were built above
+    assert len(records) == len(anchored) + len(ws) + randomly
+    assert len({id(rec) for rec in records}) == len(records)
+
+
+def test_witnesses_frozen_on_seeded_units():
+    aw, sp = m2_split()
+    alg = aw.algebra
+    digest = hashlib.sha256()
+    routes = []
+    for i, p in enumerate(_seeded_units(alg, 120)):
+        w = np_witness(sp, alg.elem(p), seed=i)
+        routes.append(w.route)
+        parts = w.parts and tuple((x.route, x.w.payload, x.verified) for x in w.parts)
+        digest.update(repr((w.route, w.w.payload, w.verified, w.seed, parts)).encode())
+    assert (routes.count("direct"), routes.count("factored")) == (31, 89)
+    assert digest.hexdigest() == \
+        "313a14982ff1209e89bf36f619a3d46254bc11053f737383cef1cb2ffaf6fffa"
+
+
+# -- both witness identities, recomputed from det and the center's sigma ----------
+
+@pytest.fixture(scope="module", params=("m2-f5split",) + presets.ETALE_NAMES)
+def witness_case(request):
+    aw = presets.unitary_m2_f5split() if request.param == "m2-f5split" \
+        else presets.degree_one_unitary(request.param)
+    return aw, pm_split(aw), enumerate_unitary(aw)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_np_witness_identities(witness_case, data):
+    aw, sp, _ = witness_case
+    alg = aw.algebra
+    C = alg.center
+    a = alg.decode(data.draw(st.integers(0, alg.size - 1)))
+    assume(alg.is_unit_p(a))
+    w = np_witness(sp, alg.elem(a), seed=data.draw(st.integers(0, 2 ** 16))).w.payload
+    assert alg.mul_p(w, aw.sigma_p(w)) == alg.one_p()
+    na = alg.det_p(a)
+    assert alg.det_p(w) == C.mul_p(na, C.inv_p(C.sigma_p(na)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_h90_witness_identity(witness_case, data):
+    aw, _, unitary = witness_case
+    alg = aw.algebra
+    a = data.draw(st.sampled_from(unitary))
+    b = h90_witness(aw, a).b.payload
+    assert alg.mul_p(b, alg.inv_p(aw.sigma_p(b))) == a.payload

@@ -10,7 +10,7 @@ from ring_laws import check_enumeration, check_laws, elements
 
 from azunorm import presets
 from azunorm.algebras import MatrixAlgebra
-from azunorm.rings import (NonUnitError, NoRootError, Poly, PolyQuotient,
+from azunorm.rings import (CACHE_MAX, NonUnitError, NoRootError, Poly, PolyQuotient,
                            PolyRing, PrimeField, ProductRing, RingMatrix,
                            ShapeError, Zmod, enumerate_units, nth_root_monic,
                            nullspace, row_reduce, solve_field)
@@ -235,6 +235,17 @@ def test_poly_quotient_field_detection():
     assert f9.is_field
     dual = PolyQuotient(PrimeField(3), Poly.from_ints(PrimeField(3), [0, 0, 1]))
     assert not dual.is_field
+
+
+def test_caches_stay_empty_above_their_bound():
+    big = PolyQuotient(F3, Poly.from_ints(F3, [1, 1] + [0] * 8 + [1]))
+    assert big.size == 3 ** 10 > CACHE_MAX
+    x = big.shift_p(big.one_p())
+    for a in (big.one_p(), x, big.add_p(x, big.one_p()), big.zero_p()):
+        if big.is_unit_p(a):
+            assert big.mul_p(a, big.inv_p(a)) == big.one_p()
+    assert big._unit_cache == {} and big._inv_cache == {}
+    assert big._mul_t is None
 
 
 def test_product_ring_componentwise():
