@@ -143,11 +143,14 @@ def nrd_unit_image(algebra: Algebra):
     """
     if isinstance(algebra, MatrixAlgebra):
         return {u.payload for u in algebra.center.units()}
-    center_units = {u.payload for u in algebra.cdata.ring.units()}
+    C = algebra.cdata.ring
+    center_units = {u.payload for u in C.units()}
     out = set()
     for p in algebra.elements_p():
-        if algebra.is_unit_p(p):
-            out.add(algebra_nrd(algebra, AlgebraElem(algebra, p)).payload)
+        # over an Azumaya algebra x is a unit exactly when nrd(x) is
+        nv = algebra_nrd(algebra, AlgebraElem(algebra, p)).payload
+        if C.is_unit_p(nv):
+            out.add(nv)
             if out == center_units:
                 break
     return out

@@ -289,26 +289,44 @@ class NPBruteReport:
 
 
 def np_bruteforce_check(awi: AlgebraWithInvolution) -> NPBruteReport:
-    """Both sides of the norm identity as explicit sets, by full sweep."""
+    """Both sides of the norm identity as explicit sets, by full sweep.
+
+    The sweep runs in parts over contiguous code ranges (forked workers for
+    large algebras, see Ring.map_code_parts); the parts' norm sets are
+    joined and their counts added before the right-hand side is formed.
+    """
     if awi.kind != "unitary":
         raise ClassificationError("the norm identity is about unitary involutions")
     alg = awi.algebra
     C = awi.center_ring
     one = alg.one_p()
     sig = awi.sigma_p
+
+    def part(lo, hi):
+        nrdset = set()
+        lhs = set()
+        unit_count = 0
+        unitary_count = 0
+        for p in itertools.islice(alg.elements_p(), lo, hi):
+            nv = awi.nrd_p(p)
+            if not C.is_unit_p(nv):
+                continue
+            unit_count += 1
+            nrdset.add(nv)
+            if alg.mul_p(p, sig(p)) == one:
+                unitary_count += 1
+                lhs.add(nv)
+        return nrdset, lhs, unit_count, unitary_count
+
     nrdset = set()
     lhs = set()
     unit_count = 0
     unitary_count = 0
-    for p in alg.elements_p():
-        nv = awi.nrd_p(p)
-        if not C.is_unit_p(nv):
-            continue
-        unit_count += 1
-        nrdset.add(nv)
-        if alg.mul_p(p, sig(p)) == one:
-            unitary_count += 1
-            lhs.add(nv)
+    for part_nrds, part_lhs, units, unitaries in alg.map_code_parts(part):
+        nrdset |= part_nrds
+        lhs |= part_lhs
+        unit_count += units
+        unitary_count += unitaries
     rhs = {C.mul_p(z, C.inv_p(C.sigma_p(z))) for z in nrdset}
     return NPBruteReport(equal=lhs == rhs, lhs_size=len(lhs), rhs_size=len(rhs),
                          unit_count=unit_count, unitary_count=unitary_count,

@@ -17,6 +17,7 @@ and only the leaf Zmod codes an int directly.
 from __future__ import annotations
 
 import itertools
+import os
 from math import gcd, isqrt
 
 
@@ -65,6 +66,10 @@ class ConfigError(ExactAlgebraError):
 TABLE_MAX = 81
 # Per-element unit and inverse caches are kept only up to this ring size.
 CACHE_MAX = 20000
+# Ring.map_code_parts forks a worker per extra part only when every part
+# holds at least PART_MIN codes: a fork costs about 1.5 ms, a part of this
+# size tens of milliseconds or more.
+PART_MIN = 2048
 
 
 def _is_prime(n: int) -> bool:
@@ -147,6 +152,23 @@ class Ring:
         for combo in itertools.product(*slots):
             yield combo[::-1]
 
+    def map_code_parts(self, part):
+        """[part(lo, hi), ...] over contiguous code ranges that cover
+        [0, size), in code order.
+
+        The ranges split across the CPUs this process may run on when each
+        holds at least PART_MIN codes, no other thread is alive and fork is
+        the platform's default start method.  The first range then runs
+        here and every other one in a forked worker, which sends its result
+        back over a pipe, so results must pickle.  A worker's exception is
+        raised again here.  Otherwise part(0, size) runs here alone.
+        """
+        parts = _part_count(self.size)
+        if parts == 1:
+            return [part(0, self.size)]
+        bounds = [self.size * k // parts for k in range(parts + 1)]
+        return _run_parts(part, list(zip(bounds, bounds[1:])))
+
     def _signature(self) -> tuple:
         raise NotImplementedError
 
@@ -215,6 +237,79 @@ class Ring:
             h = hash(self._signature())
             self._sig_hash = h
         return h
+
+
+def _part_count(size: int) -> int:
+    """How many parts Ring.map_code_parts cuts [0, size) into."""
+    parts = size // PART_MIN
+    if parts < 2 or not hasattr(os, "sched_getaffinity"):
+        return 1
+    parts = min(parts, len(os.sched_getaffinity(0)))
+    if parts < 2:
+        return 1
+    import threading
+    # a fork copies only the calling thread, with any lock another held
+    if threading.active_count() != 1:
+        return 1
+    import multiprocessing
+    if multiprocessing.get_all_start_methods()[0] != "fork":
+        return 1
+    return parts
+
+
+def _run_parts(part, ranges):
+    """part over each (lo, hi): the first here, the others in forked workers."""
+    import multiprocessing
+    ctx = multiprocessing.get_context("fork")
+    procs, conns = [], []
+    finished = False
+    try:
+        for lo, hi in ranges[1:]:
+            recv_end, send_end = ctx.Pipe(duplex=False)
+            conns.append(recv_end)
+            proc = ctx.Process(target=_part_worker, args=(part, lo, hi, send_end),
+                               daemon=True)
+            try:
+                proc.start()
+            finally:
+                send_end.close()
+            procs.append(proc)
+        results = [part(*ranges[0])]
+        for proc, conn in zip(procs, conns):
+            try:
+                ok, value = conn.recv()
+            except EOFError:
+                proc.join()
+                raise ExactAlgebraError(
+                    f"sweep worker exited with code {proc.exitcode} "
+                    f"before it sent its part")
+            if not ok:
+                raise value
+            results.append(value)
+        finished = True
+        return results
+    finally:
+        for conn in conns:
+            conn.close()
+        for proc in procs:
+            if not finished:
+                proc.terminate()
+            proc.join()
+            proc.close()
+
+
+def _part_worker(part, lo, hi, send_end):
+    """Body of a forked worker: send (True, result) or (False, exception)."""
+    import signal
+    # an interrupt reaches the whole process group; the parent handles it
+    # and terminates the workers
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    with send_end:
+        try:
+            out = (True, part(lo, hi))
+        except Exception as e:
+            out = (False, e)
+        send_end.send(out)
 
 
 class RingElem:
@@ -878,6 +973,12 @@ def nth_root_monic(p: Poly, n: int) -> Poly:
 
     Needs n invertible in the coefficient ring; raises NoRootError when no
     exact root exists and NonUnitError when n is not invertible.
+
+    Write a_i for the coefficient of t^(m-i) in q (a_0 = 1) and [q^k]_j for
+    the coefficient of t^(km-j) in q^k.  From q^k = q * q^(k-1),
+    [q^k]_j = k*a_j + r_k with r_k = r_(k-1) + sum_(0<i<j) a_i [q^(k-1)]_(j-i)
+    and r_0 = 0, so step j reads a_j off [q^n]_j = p's coefficient and
+    needs only the j-th coefficient of each power below n.
     """
     ring = p.ring
     if n < 1:
@@ -893,13 +994,22 @@ def nth_root_monic(p: Poly, n: int) -> Poly:
         raise NonUnitError(f"{n} is not invertible in {ring!r}")
     n_inv = ring.inv_p(n_p)
     m = p.degree // n
-    coeffs = [ring.zero_p()] * m + [ring.one_p()]
+    zero = ring.zero_p()
+    a = [ring.one_p()]
+    # powers[k][j] = [q^k]_j, filled one j at a time
+    powers = [[ring.one_p()] + [zero] * m] + [[ring.one_p()] for _ in range(n - 1)]
     for j in range(1, m + 1):
-        q = Poly(ring, coeffs)
-        cur = (q ** n).coeff(n * m - j)
-        want = p.coeff(n * m - j)
-        coeffs[m - j] = ring.mul_p(ring.sub_p(want, cur), n_inv)
-    q = Poly(ring, coeffs)
+        r = [zero]
+        for k in range(1, n + 1):
+            acc = r[-1]
+            for i in range(1, j):
+                acc = ring.add_p(acc, ring.mul_p(a[i], powers[k - 1][j - i]))
+            r.append(acc)
+        a_j = ring.mul_p(ring.sub_p(p.coeff(n * m - j), r[n]), n_inv)
+        a.append(a_j)
+        for k in range(1, n):
+            powers[k].append(ring.add_p(r[k], ring.mul_p(ring.int_p(k), a_j)))
+    q = Poly(ring, a[::-1])
     if (q ** n) != p:
         raise NoRootError(f"no exact {n}-th root")
     return q

@@ -11,7 +11,7 @@ import weakref
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from azunorm import cli, presets
 from azunorm.algebras import TableAlgebra
@@ -397,12 +397,13 @@ def test_internal_error_is_an_error_record(monkeypatch):
 
 def test_norm_inclusion_on_quaternions_over_f5_stops_early(monkeypatch):
     visits = []
-    is_unit = TableAlgebra.is_unit_p
+    elements_p = TableAlgebra.elements_p
 
-    def counted(self, x):
-        visits.append(x)
-        return is_unit(self, x)
-    monkeypatch.setattr(TableAlgebra, "is_unit_p", counted)
+    def counted(self):
+        for x in elements_p(self):
+            visits.append(x)
+            yield x
+    monkeypatch.setattr(TableAlgebra, "elements_p", counted)
     cfg = parse_config(QUATERNION_F5_ETALE_CFG)
     code, recs = cli.run(cfg, out=io.StringIO())
     assert code == 0
@@ -543,3 +544,91 @@ def test_fuzzed_task_lines_never_crash(name, seed):
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     assert 'detail="internal error' not in out.getvalue()
+
+
+# -- fuzzed config sections ---------------------------------------------------------
+
+# well-formed [ring], [etale] and [algebra] bodies, one per algebra form and
+# involution, over a prime field and over Z/9
+SECTION_SEEDS = [
+    UNITARY_CFG.split("[tasks]")[0],
+    UNITARY_CFG.replace("h = identity", "h = 0,1;1,0").split("[tasks]")[0],
+    UNITARY_CFG.replace("h = identity", "h = diag(1:0,2)").split("[tasks]")[0],
+    Z9_DEGREE_ONE_CFG.split("[tasks]")[0],
+    QUATERNION_CFG.split("[tasks]")[0],
+    QUATERNION_F5_ETALE_CFG.split("[tasks]")[0],
+    TABLE_CFG.split("[tasks]")[0],
+    "[ring]\nkind = zmod\nmodulus = 9\n\n[algebra]\nform = split\ndegree = 2\n"
+    "involution = transpose\n",
+    "[ring]\nkind = prime\nmodulus = 5\n\n[algebra]\nform = split\ndegree = 2\n"
+    "involution = adjoint\ng = 0,1;-1,0\n",
+]
+SECTION_KEYS = sorted({k for name in ("ring", "etale", "algebra")
+                       for k in cli._SECTION_KEYS[name]} | {"bogus", ""})
+SECTION_VALUES = sorted(
+    {"", "-2", "-1", "0", "1", "2", "3", "4", "5", "6", "9", "15", "25", "27", "+2",
+     "0x3", "1.5", "1e1", "two", "prime", "zmod", "split", "quaternion", "table",
+     "hermitian", "transpose", "adjoint", "conjugation", "none", "identity",
+     "diag(1,-1)", "diag(1:1,2)", "diag(0,1)", "diag(", "diag()", "diag(1,,2)",
+     "0,1;1,0", "0,1;-1,0", "1,0;0,1", "0,0;0,0", "0,1;0,0", "1:1,0;0,1:2", "0,1;2",
+     "1:0,0:1", "1:2:3", "x:y", ";", ",", ":", "1:0,0:1,0:1,2:0", "1:0:0,0:1:0",
+     "1:0,0:1;0:1,1:0", "1:0,0:1,0:1,1:0", "0:1,1:0,1:0,0:1"})
+SECTION_LINES = ["[ring]", "[etale]", "[algebra]", "[bogus]", "[ring", "[]",
+                 "modulus", "= 3", "kind = prime", "s = 2", "# comment"]
+
+
+def _mutated_sections(rng):
+    """A seed body with one to four mutations: a value or key replaced, a
+    line dropped, copied to another place or inserted, or a character
+    dropped."""
+    lines = rng.choice(SECTION_SEEDS).splitlines()
+    for _ in range(rng.randint(1, 4)):
+        pairs = [i for i, line in enumerate(lines) if "=" in line]
+        op = rng.choice([0, 0, 0, 0, 0, 1, 2, 3, 4, 5]) if pairs else rng.randint(2, 5)
+        i = rng.choice(pairs) if op < 2 else rng.randrange(len(lines))
+        key, _, value = lines[i].partition("=")
+        if op == 0:
+            lines[i] = f"{key}= {rng.choice(SECTION_VALUES)}"
+        elif op == 1:
+            lines[i] = f"{rng.choice(SECTION_KEYS)} ={value}"
+        elif op == 2:
+            del lines[i]
+        elif op == 3:
+            lines.insert(rng.randrange(len(lines) + 1), lines[i])
+        elif op == 4:
+            lines.insert(rng.randrange(len(lines) + 1), rng.choice(SECTION_LINES))
+        elif lines[i]:
+            k = rng.randrange(len(lines[i]))
+            lines[i] = lines[i][:k] + lines[i][k + 1:]
+        if not lines:
+            lines = [""]
+    return "\n".join(lines) + "\n"
+
+
+def _int_values(text, key):
+    return [int(v) for line in text.splitlines()
+            for k, eq, v in [line.partition("=")]
+            if eq and k.strip() == key and v.strip().lstrip("+-").isdigit()]
+
+
+# as for task lines, the choices come from a random.Random seeded by hypothesis
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_fuzzed_config_sections_never_crash(seed):
+    rng = random.Random(seed)
+    text = _mutated_sections(rng)
+    # building a degree-n algebra costs about n^6 ring operations and a
+    # verify-azumaya task far more, so the mutations keep n small
+    assume(all(v <= 4 for v in _int_values(text, "degree") + _int_values(text, "rank")))
+    text += "\n[tasks]\ntask = nrd x=1,0,0,0\n"
+    if all(v <= 2 for v in _int_values(text, "degree")):
+        text += "task = verify-azumaya\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.cfg"
+        path.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["run", "--config", str(path)])
+    assert code in (0, 1, 2), text
+    assert "Traceback" not in err.getvalue(), text
+    assert 'detail="internal error' not in out.getvalue(), text

@@ -309,12 +309,13 @@ def test_unit_norm_image_of_tables_matches_a_full_sweep(p, etale):
 
 def test_unit_norm_image_stops_once_it_saturates(monkeypatch):
     visits = []
-    is_unit = TableAlgebra.is_unit_p
+    elements_p = TableAlgebra.elements_p
 
-    def counted(self, x):
-        visits.append(x)
-        return is_unit(self, x)
-    monkeypatch.setattr(TableAlgebra, "is_unit_p", counted)
+    def counted(self):
+        for x in elements_p(self):
+            visits.append(x)
+            yield x
+    monkeypatch.setattr(TableAlgebra, "elements_p", counted)
     expected = {"f3i": 33, "f5sqrt2": 135, "f7sqrt3": 166}
     for p, etale in QUAT_EXTENSIONS:
         table, _ = presets.quaternion_preset(p)

@@ -9,11 +9,12 @@ from hypothesis import given, settings, strategies as st
 from ring_laws import check_enumeration, check_laws, elements
 
 from azunorm import presets
-from azunorm.algebras import MatrixAlgebra
+from azunorm.algebras import MatrixAlgebra, scalar_extension
 from azunorm.rings import (CACHE_MAX, NonUnitError, NoRootError, Poly, PolyQuotient,
                            PolyRing, PrimeField, ProductRing, RingMatrix,
                            ShapeError, Zmod, enumerate_units, nth_root_monic,
                            nullspace, row_reduce, solve_field)
+from azunorm.transfers import etale_extension
 
 Z9 = Zmod(9)
 F3 = PrimeField(3)
@@ -180,6 +181,45 @@ def test_monic_root_rejects_non_powers():
     p = Poly.from_ints(F5, [1, 0, 1])
     with pytest.raises(NoRootError):
         nth_root_monic(p, 2)
+
+
+def _root_by_full_powers(p, n):
+    """The lifting as written before it computed single coefficients: every
+    step raises the partial root to the n-th power and reads one
+    coefficient."""
+    ring = p.ring
+    n_inv = ring.inv_p(ring.int_p(n))
+    m = p.degree // n
+    coeffs = [ring.zero_p()] * m + [ring.one_p()]
+    for j in range(1, m + 1):
+        cur = (Poly(ring, coeffs) ** n).coeff(n * m - j)
+        coeffs[m - j] = ring.mul_p(ring.sub_p(p.coeff(n * m - j), cur), n_inv)
+    q = Poly(ring, coeffs)
+    if q ** n != p:
+        raise NoRootError(f"no exact {n}-th root")
+    return q
+
+
+@pytest.mark.parametrize("p,etale", [(3, "f3i"), (5, "f5sqrt2"), (7, "f7sqrt3")])
+def test_monic_root_matches_full_powers_on_quaternion_tables(p, etale):
+    table, _ = presets.quaternion_preset(p)
+    ext_table, _ = scalar_extension(table, etale_extension(presets.etale_preset(etale)))
+    for alg in (table, ext_table):
+        cdata = alg.cdata
+        for k, x in enumerate(alg.elements_p()):
+            if k == 150:
+                break
+            char = RingMatrix.from_columns(
+                cdata.ring, [cdata.ccoords_p(alg.mul_p(x, b)) for b in cdata.cbasis]
+            ).char_poly()
+            assert nth_root_monic(char, cdata.degree) == \
+                _root_by_full_powers(char, cdata.degree)
+    # a degree-4 polynomial that is no square: (t^2 + 1)^2 + t
+    f = table.base
+    no_square = Poly.from_ints(f, [1, 1, 2, 0, 1])
+    for root in (nth_root_monic, _root_by_full_powers):
+        with pytest.raises(NoRootError):
+            root(no_square, 2)
 
 
 def test_nullspace_vectors_annihilate():
