@@ -78,7 +78,7 @@ class Algebra(Ring):
 
     @property
     def cdata(self) -> "CenterData":
-        """The center and the center-module structure, found without an involution."""
+        """The algebra's center and center-module structure, built once."""
         got = getattr(self, "_cdata", None)
         if got is None:
             got = self._cdata = center_data(self)
@@ -345,14 +345,13 @@ class Involution:
 
     form = None
 
-    def __init__(self, algebra: Algebra, matrix: RingMatrix, validate=True):
+    def __init__(self, algebra: Algebra, matrix: RingMatrix):
         if matrix.ring != algebra.base or matrix.nrows != algebra.rank \
                 or matrix.ncols != algebra.rank:
             raise ShapeError("involution matrix must be rank x rank over the base")
         self.algebra = algebra
         self.matrix = matrix
-        if validate:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         alg = self.algebra
@@ -475,8 +474,13 @@ def _scalar_part(algebra, payload):
     return r
 
 
-def center_data(algebra: Algebra, involution: Involution = None) -> CenterData:
-    """Center ring plus the center-module structure of the algebra."""
+def center_data(algebra: Algebra) -> CenterData:
+    """The algebra's own center as a ring, with a center-module structure.
+
+    A table's center solves the commutation system.  A rank-2 center needs
+    a field base: completing the square on its first non-scalar basis
+    element gives u with u^2 = s, and the center is QuadraticEtale(base, s).
+    """
     if isinstance(algebra, MatrixAlgebra):
         return CenterData(ring=algebra.center, rank=algebra.center_rank,
                           degree=algebra.n, embed_p=algebra.embed_center_p,
@@ -485,74 +489,48 @@ def center_data(algebra: Algebra, involution: Involution = None) -> CenterData:
     zb = center_basis(algebra)
     base = algebra.base
     if len(zb) == 1:
-        r = _scalar_part(algebra, zb[0])
-        if r is None:
+        if _scalar_part(algebra, zb[0]) is None:
             raise ClassificationError("rank-1 center is not spanned by 1")
-        nsq = algebra.rank
-        n = isqrt(nsq)
-        if n * n != nsq:
+        n = isqrt(algebra.rank)
+        if n * n != algebra.rank:
             raise ClassificationError("rank over the center is not a square")
-
-        def embed(rp):
-            return algebra.scale_base_p(algebra.one_p(), rp)
-
-        def ccoords(payload):
-            return algebra.coords_p(payload)
-
-        return CenterData(ring=base, rank=1, degree=n, embed_p=embed,
-                          cbasis=algebra.basis_p(), ccoords_p=ccoords)
+        return CenterData(ring=base, rank=1, degree=n,
+                          embed_p=lambda rp: algebra.scale_base_p(algebra.one_p(), rp),
+                          cbasis=algebra.basis_p(), ccoords_p=algebra.coords_p)
 
     if len(zb) != 2:
         raise ClassificationError(f"unsupported center rank {len(zb)}")
 
     two_inv = base.inv_p(base.int_p(2))
-    u = None
-    if involution is not None:
-        for z in zb:
-            sz = involution.apply_p(z)
-            if sz != z:
-                u = algebra.scale_base_p(algebra.sub_p(z, sz), two_inv)
-                break
-    if u is None:
-        # no involution help: complete the square on a non-scalar center element
-        z = None
-        for cand in zb:
-            if _scalar_part(algebra, cand) is None:
-                z = cand
-                break
-        if z is None:
-            raise ClassificationError("rank-2 center spanned by scalars only")
-        if not base.is_field:
-            raise ClassificationError(
-                "etale center extraction without an involution needs a field base")
-        zsq = algebra.coords_p(algebra.mul_p(z, z))
-        cols = RingMatrix(base, algebra.rank, 2,
-                          [c for pair in zip(algebra.coords_p(z),
-                                             algebra.coords_p(algebra.one_p()))
-                           for c in pair])
-        sol = solve_field(cols, list(zsq))
-        if sol is None:
-            raise ClassificationError("center element has no quadratic relation")
-        alpha = sol[0]
-        u = algebra.sub_p(z, algebra.scale_base_p(
-            algebra.one_p(), base.mul_p(alpha, two_inv)))
+    z = next((cand for cand in zb if _scalar_part(algebra, cand) is None), None)
+    if z is None:
+        raise ClassificationError("rank-2 center spanned by scalars only")
+    if not base.is_field:
+        raise ClassificationError(
+            "etale center extraction without an involution needs a field base")
+    zsq = algebra.coords_p(algebra.mul_p(z, z))
+    cols = RingMatrix(base, algebra.rank, 2,
+                      [c for pair in zip(algebra.coords_p(z),
+                                         algebra.coords_p(algebra.one_p()))
+                       for c in pair])
+    sol = solve_field(cols, list(zsq))
+    if sol is None:
+        raise ClassificationError("center element has no quadratic relation")
+    u = algebra.sub_p(z, algebra.scale_base_p(
+        algebra.one_p(), base.mul_p(sol[0], two_inv)))
     s = _scalar_part(algebra, algebra.mul_p(u, u))
     if s is None:
         raise ClassificationError("center generator squared is not a scalar")
     if not base.is_unit_p(s):
         raise ClassificationError("center is not etale: generator squares to a non-unit")
     C = QuadraticEtale(base, base.elem(s))
-    if involution is not None and involution.apply_p(u) != algebra.neg_p(u):
-        raise ClassificationError("involution does not negate the center generator")
 
     def embed(cp):
         x, y = cp
         return algebra.add_p(algebra.scale_base_p(algebra.one_p(), x),
                              algebra.scale_base_p(u, y))
 
-    # center-module basis by greedy extension over the base (field case)
-    if not base.is_field:
-        raise ClassificationError("center-module basis extraction needs a field base")
+    # center-module basis by greedy extension over the base field
     r = algebra.rank
     umat = algebra.left_mult_matrix(u)
     basis = algebra.basis_p()
@@ -575,9 +553,10 @@ def center_data(algebra: Algebra, involution: Involution = None) -> CenterData:
                       ccoords_p=ccoords)
 
 
-def reduced_char_poly_data(algebra: Algebra, payload, cdata: CenterData) -> Poly:
+def reduced_char_poly_data(algebra: Algebra, payload) -> Poly:
     if isinstance(algebra, MatrixAlgebra):
         return algebra.as_matrix_p(payload).char_poly()
+    cdata = algebra.cdata
     mat = RingMatrix.from_columns(
         cdata.ring, [cdata.ccoords_p(algebra.mul_p(payload, b)) for b in cdata.cbasis])
     return nth_root_monic(mat.char_poly(), cdata.degree)
@@ -585,27 +564,30 @@ def reduced_char_poly_data(algebra: Algebra, payload, cdata: CenterData) -> Poly
 
 def reduced_char_poly(algebra: Algebra, x: AlgebraElem) -> Poly:
     """Monic degree-n polynomial over the center whose constant term encodes nrd."""
-    return reduced_char_poly_data(algebra, x.payload, algebra.cdata)
+    return reduced_char_poly_data(algebra, x.payload)
 
 
 def nrd(algebra: Algebra, x: AlgebraElem) -> RingElem:
     """Reduced norm: (-1)^n times the constant reduced-char-poly coefficient."""
-    return nrd_data(algebra, x.payload, algebra.cdata)
+    return nrd_data(algebra, x.payload)
 
 
-def nrd_data(algebra: Algebra, payload, cdata: CenterData) -> RingElem:
+def nrd_data(algebra: Algebra, payload) -> RingElem:
+    """Reduced norm of a payload in the algebra's own center (algebra.cdata)."""
     if isinstance(algebra, MatrixAlgebra):
         return RingElem(algebra.center, algebra.det_p(payload))
-    p = reduced_char_poly_data(algebra, payload, cdata)
-    c0 = p.coeff(0)
-    C = cdata.ring
-    if cdata.degree % 2 == 1:
-        c0 = C.neg_p(c0)
-    return RingElem(C, c0)
+    cdata = algebra.cdata
+    c0 = reduced_char_poly_data(algebra, payload).coeff(0)
+    return RingElem(cdata.ring, cdata.ring.neg_p(c0) if cdata.degree % 2 else c0)
 
 
 class AlgebraWithInvolution:
-    """An algebra presentation bound to an involution, with center structure."""
+    """An algebra presentation bound to an involution.
+
+    The center and the reduced norm are the algebra's own (cdata is
+    algebra.cdata); the involution only acts on them, so one algebra is
+    classified the same way in its matrix and table presentations.
+    """
 
     def __init__(self, algebra: Algebra, involution: Involution):
         if involution.algebra != algebra:
@@ -613,11 +595,10 @@ class AlgebraWithInvolution:
         self.algebra = algebra
         self.involution = involution
         self.base = algebra.base
-        self.cdata = center_data(algebra, involution)
+        self.cdata = algebra.cdata
         self.center_ring = self.cdata.ring
         self.degree = self.cdata.degree
         self.kind = self._classify()
-        self._validate_center_action()
 
     # -- involution action -------------------------------------------------
     def sigma_p(self, payload):
@@ -645,27 +626,30 @@ class AlgebraWithInvolution:
 
     # -- norms -----------------------------------------------------------------
     def nrd(self, e: AlgebraElem) -> RingElem:
-        return nrd_data(self.algebra, e.payload, self.cdata)
+        return nrd_data(self.algebra, e.payload)
 
     def nrd_p(self, payload):
-        return nrd_data(self.algebra, payload, self.cdata).payload
+        return nrd_data(self.algebra, payload).payload
 
     def reduced_char_poly(self, e: AlgebraElem) -> Poly:
-        return reduced_char_poly_data(self.algebra, e.payload, self.cdata)
+        return reduced_char_poly_data(self.algebra, e.payload)
 
     # -- classification -----------------------------------------------------
     def _classify(self):
-        alg = self.algebra
-        moved = False
-        for cb in (self.cdata.embed_p(self.center_ring.one_p()),
-                   *(self.cdata.embed_p(p) for p in self._center_ring_basis())):
-            if self.involution.apply_p(cb) != cb:
-                moved = True
-                break
-        if moved:
-            if self.cdata.rank != 2:
-                raise ClassificationError("second-kind involution needs a rank-2 center")
-            return "unitary"
+        """'unitary' when sigma moves sqrt(s), which it must then negate;
+        otherwise 'orthogonal' or 'symplectic' by the fixed-module rank.
+
+        sigma fixes 1, so sqrt(s) alone decides how it acts on the center.
+        """
+        if self.cdata.rank == 2:
+            C, embed = self.center_ring, self.cdata.embed_p
+            root = C.sqrt_gen.payload
+            moved = self.involution.apply_p(embed(root))
+            if moved != embed(root):
+                if moved != embed(C.sigma_p(root)):
+                    raise ClassificationError(
+                        "involution does not restrict to the etale conjugation")
+                return "unitary"
         sym = self.symmetric_rank
         n = self.degree
         if sym == n * (n + 1) // 2:
@@ -675,37 +659,15 @@ class AlgebraWithInvolution:
         raise ClassificationError(
             f"symmetric rank {sym} fits neither orthogonal nor symplectic in degree {n}")
 
-    def _center_ring_basis(self):
-        C = self.center_ring
-        if self.cdata.rank == 1:
-            return []
-        return [C.sqrt_gen.payload]
-
     @property
     def symmetric_rank(self) -> int:
         """Rank over the center of the sigma-fixed module."""
-        got = getattr(self, "_sym_rank", None)
-        if got is None:
-            alg = self.algebra
-            fixed = nullspace(self.involution.matrix
-                              - RingMatrix.identity(alg.base, alg.rank))
-            if len(fixed) % self.cdata.rank:
-                raise ClassificationError("symmetric module rank is not integral "
-                                          "over the center")
-            got = len(fixed) // self.cdata.rank
-            self._sym_rank = got
-        return got
-
-    def _validate_center_action(self):
-        # sigma restricted to the center must be the etale involution (unitary)
-        # or the identity (first kind); both directions are checked.
-        C = self.center_ring
-        if self.kind == "unitary":
-            for cp in [C.one_p(), C.sqrt_gen.payload]:
-                want = self.cdata.embed_p(C.sigma_p(cp))
-                if self.involution.apply_p(self.cdata.embed_p(cp)) != want:
-                    raise ClassificationError(
-                        "involution does not restrict to the etale conjugation")
+        alg = self.algebra
+        fixed = nullspace(self.involution.matrix - RingMatrix.identity(alg.base, alg.rank))
+        if len(fixed) % self.cdata.rank:
+            raise ClassificationError("symmetric module rank is not integral "
+                                      "over the center")
+        return len(fixed) // self.cdata.rank
 
 
 @dataclass
@@ -821,7 +783,7 @@ def extend_awi(awi: AlgebraWithInvolution, ext) -> tuple:
         else:
             # sigma on the x-parts and on the y-parts of the entries, zipped back
             mat = alg_t.matrix_of(lambda p: tuple(zip(*map(awi.sigma_p, zip(*p)))))
-        inv_t = Involution(alg_t, matrix=mat, validate=False)
+        inv_t = Involution(alg_t, matrix=mat)
     else:
         build = adjoint_involution if form[1] is None else hermitian_involution
         inv_t = build(alg_t, RingMatrix(alg_t.center, alg_t.n, alg_t.n, mp(form[0].cells)))

@@ -44,6 +44,11 @@ _SECTION_KEYS = {
     "run": {"seed", "report-path"},
 }
 
+# every config stays within reach of a sweep or a frame search: trial-division
+# primality below MODULUS_BOUND, and a split degree of at most DEGREE_MAX
+MODULUS_BOUND = 2 ** 16
+DEGREE_MAX = 4
+
 _TASK_PARAMS = {
     "verify-azumaya": set(),
     "azumaya-verify": set(),
@@ -133,6 +138,8 @@ def _build_ring(sec):
     n = _want_int(mod, ml, "modulus")
     if n < 2:
         _fail(ml, "modulus must be at least 2")
+    if n >= MODULUS_BOUND:
+        _fail(ml, f"modulus must be below {MODULUS_BOUND}")
     if n % 2 == 0:
         _fail(ml, f"even modulus {n}: 2 is not a unit")
     if kind == "prime":
@@ -196,6 +203,8 @@ def _build_algebra(cfg: ExperimentConfig, sec):
         n = _want_int(deg, dl, "degree")
         if n < 1:
             _fail(dl, "degree must be positive")
+        if n > DEGREE_MAX:
+            _fail(dl, f"degree must be at most {DEGREE_MAX}")
         center = cfg.etale if cfg.etale is not None else cfg.ring
         algebra = MatrixAlgebra(center, n)
         if inv_name == "hermitian":

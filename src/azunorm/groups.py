@@ -11,8 +11,8 @@ import itertools
 from functools import cached_property
 
 from .algebras import (Algebra, AlgebraElem, AlgebraWithInvolution,
-                       MatrixAlgebra, extend_awi, nrd as algebra_nrd,
-                       nrd_data, scalar_extension)
+                       MatrixAlgebra, extend_awi, nrd_data as algebra_nrd,
+                       scalar_extension)
 from .etale import QuadraticEtale
 from .rings import ClassificationError, ExactAlgebraError, Ring, RingElem
 
@@ -89,23 +89,10 @@ def enumerate_special(a, which: str):
             raise ClassificationError(f"{which} needs an involution")
         one_c = a.center_ring.one_p()
         return [u for u in enumerate_unitary(a) if a.nrd_p(u.payload) == one_c]
-    if isinstance(a, AlgebraWithInvolution):
-        alg = a.algebra
-        C = a.center_ring
-        nrd_p = a.nrd_p
-    else:
-        alg = a
-        cd = alg.cdata
-        C = cd.ring
-
-        def nrd_p(p):
-            return nrd_data(alg, p, cd).payload
-    one_c = C.one_p()
-    out = []
-    for p in alg.elements_p():
-        if alg.is_unit_p(p) and nrd_p(p) == one_c:
-            out.append(AlgebraElem(alg, p))
-    return out
+    alg = a.algebra if isinstance(a, AlgebraWithInvolution) else a
+    one_c = alg.cdata.ring.one_p()
+    return [AlgebraElem(alg, p) for p in alg.elements_p()
+            if alg.is_unit_p(p) and algebra_nrd(alg, p).payload == one_c]
 
 
 def nrd_image(s, awi: AlgebraWithInvolution = None):
@@ -113,20 +100,17 @@ def nrd_image(s, awi: AlgebraWithInvolution = None):
 
     s must be multiplicatively closed; a value set that is not a subgroup
     (checked by _check_subgroup) is reported as an error rather than
-    silently accepted.
+    silently accepted.  The norms are the algebra's own; a given awi is
+    only checked to own the elements.
     """
     s = list(s)
     if not s:
         raise ExactAlgebraError("empty element set")
     alg = s[0].ring
-    if awi is not None:
-        if awi.algebra != alg:
-            raise ExactAlgebraError("elements do not belong to the given algebra")
-        C = awi.center_ring
-        vals = {awi.nrd_p(x.payload) for x in s}
-    else:
-        C = algebra_nrd(alg, s[0]).ring
-        vals = {algebra_nrd(alg, x).payload for x in s}
+    if awi is not None and awi.algebra != alg:
+        raise ExactAlgebraError("elements do not belong to the given algebra")
+    C = alg.cdata.ring
+    vals = {algebra_nrd(alg, x.payload).payload for x in s}
     _check_subgroup(C, vals)
     return {RingElem(C, v) for v in vals}
 
@@ -148,7 +132,7 @@ def nrd_unit_image(algebra: Algebra):
     out = set()
     for p in algebra.elements_p():
         # over an Azumaya algebra x is a unit exactly when nrd(x) is
-        nv = algebra_nrd(algebra, AlgebraElem(algebra, p)).payload
+        nv = algebra_nrd(algebra, p).payload
         if C.is_unit_p(nv):
             out.add(nv)
             if out == center_units:

@@ -56,11 +56,12 @@ def find_lambda(awi: AlgebraWithInvolution, a: AlgebraElem) -> RingElem:
 
 
 def h90_witness(awi: AlgebraWithInvolution, a: AlgebraElem) -> H90Witness:
-    """Unit b with b * sigma(b)^-1 = a, built from a circle scalar descent."""
-    _require_unitary(awi, a)
-    C = awi.center_ring
-    alg = awi.algebra
+    """Unit b with b * sigma(b)^-1 = a, built from a circle scalar descent.
+
+    find_lambda first checks that awi is unitary and a is norm-one in it.
+    """
     lam = find_lambda(awi, a)
+    C = awi.center_ring
     c = C.hilbert90_scalar(lam)
     b = awi.embed_center(c) + awi.embed_center(C.sigma(c)) * a
     ok = C.mul_p(lam.payload, C.sigma_p(lam.payload)) == C.one_p()

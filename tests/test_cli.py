@@ -7,6 +7,7 @@ import io
 import json
 import random
 import tempfile
+import time
 import weakref
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from azunorm import cli, presets
 from azunorm.algebras import TableAlgebra
 from azunorm.cli import ConfigError, parse_config
 from azunorm.etale import QuadraticEtale
+from azunorm.rings import _is_prime
 
 UNITARY_CFG = """\
 # 2x2 matrices with a square root of -1 adjoined, conjugate-adjoint form
@@ -184,6 +186,33 @@ def test_main_parse_error_exit_two(tmp_path, capsys):
     assert cli.main(["run", "--config", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: line 3:")
+
+
+@pytest.mark.parametrize("cfg, line", [
+    ("[ring]\nkind = prime\nmodulus = 2305843009213693951\n", 3),
+    (UNITARY_CFG.replace("degree = 2", "degree = 7"), 11),
+])
+def test_main_rejects_oversized_configs_fast(tmp_path, capsys, cfg, line):
+    # trial division on 2^61 - 1 runs for over 10 s, and building hermitian
+    # M_7(F3[i]) takes 15 s; both must be refused before that work starts
+    path = write(tmp_path, cfg)
+    start = time.perf_counter()
+    assert cli.main(["run", "--config", path]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err.startswith(f"config error: line {line}:")
+
+
+def test_config_size_limits_admit_their_largest_values():
+    top = cli.MODULUS_BOUND - 1
+    while not _is_prime(top):
+        top -= 2
+    assert parse_config(f"[ring]\nkind = prime\nmodulus = {top}\n").ring.size == top
+    cfg = "[ring]\nkind = prime\nmodulus = 3\n\n[algebra]\nform = split\ndegree = {}\n"
+    assert parse_config(cfg.format(cli.DEGREE_MAX)).algebra.n == cli.DEGREE_MAX
+    for bad in (f"[ring]\nkind = zmod\nmodulus = {cli.MODULUS_BOUND + 1}\n",
+                cfg.format(cli.DEGREE_MAX + 1)):
+        with pytest.raises(ConfigError, match="^line [0-9]+: .*(below|at most)"):
+            parse_config(bad)
 
 
 def test_main_unknown_subcommand_exit_two(tmp_path, capsys):
@@ -617,9 +646,10 @@ def _int_values(text, key):
 def test_fuzzed_config_sections_never_crash(seed):
     rng = random.Random(seed)
     text = _mutated_sections(rng)
-    # building a degree-n algebra costs about n^6 ring operations and a
-    # verify-azumaya task far more, so the mutations keep n small
-    assume(all(v <= 4 for v in _int_values(text, "degree") + _int_values(text, "rank")))
+    # parse_config refuses split degrees above cli.DEGREE_MAX; a table's rank
+    # is not bounded, and its verify-azumaya task costs about rank^6, so the
+    # mutations keep it small
+    assume(all(v <= 4 for v in _int_values(text, "rank")))
     text += "\n[tasks]\ntask = nrd x=1,0,0,0\n"
     if all(v <= 2 for v in _int_values(text, "degree")):
         text += "task = verify-azumaya\n"

@@ -1,6 +1,7 @@
 """Unitary and norm-one groups by enumeration, reduced-norm images, and
 finite abelian quotients with their invariant factors."""
 
+import itertools
 import random
 
 import pytest
@@ -11,7 +12,7 @@ from azunorm import groups, presets
 from azunorm.algebras import (AlgebraElem, AlgebraWithInvolution, MatrixAlgebra,
                               TableAlgebra, adjoint_involution, extend_awi,
                               hermitian_involution, nrd, scalar_extension,
-                              transpose_involution)
+                              table_involution, to_table, transpose_involution)
 from azunorm.groups import (FiniteAbelianPresentation, enumerate_special,
                             enumerate_unitary, functor_linear, functor_unitary,
                             nrd_image, nrd_unit_image)
@@ -331,6 +332,51 @@ def test_unit_norm_image_stops_once_it_saturates(monkeypatch):
     visits.clear()
     assert nrd_unit_image(table) == {one.payload}
     assert len(visits) == table.size == 81
+
+
+# -- one algebra, two presentations -----------------------------------------------
+
+def _presented_cases():
+    """(id, awi over a matrix algebra, kind, |U|, |SU| or |SO|, nrd stride)."""
+    f3i = presets.etale_preset("f3i")
+    m2 = MatrixAlgebra(f3i, 2)
+    sp = MatrixAlgebra(F3, 2)
+    cases = [(f"hermitian-{h}", presets.unitary_m2_f3i(h), "unitary", 96, 24,
+              1 if h == "identity" else 41) for h in presets.H_NAMES]
+    cases.append(("transpose", AlgebraWithInvolution(m2, transpose_involution(m2)),
+                  "orthogonal", 16, 8, 1))
+    g = RingMatrix.from_rows(F3, [[0, 1], [-1, 0]])
+    cases.append(("symplectic", AlgebraWithInvolution(sp, adjoint_involution(sp, g)),
+                  "symplectic", 24, 24, 1))
+    cases.append(("degree-one", presets.degree_one_unitary("f3i"), "unitary", 4, 1, 1))
+    return cases
+
+
+PRESENTED = _presented_cases()
+
+
+@pytest.mark.parametrize("aw, kind, order, special, stride", [c[1:] for c in PRESENTED],
+                         ids=[c[0] for c in PRESENTED])
+def test_table_presentation_classifies_like_the_matrix_algebra(
+        aw, kind, order, special, stride):
+    # the table carries the involution transported through to_table; its
+    # center is rebuilt from the table alone, so only fwd links the two
+    alg = aw.algebra
+    table, fwd, back = to_table(alg)
+    tw = AlgebraWithInvolution(table, table_involution(
+        table, table.matrix_of(lambda p: fwd(aw.sigma_p(back(p))))))
+    assert aw.kind == tw.kind == kind
+    assert tw.cdata is table.cdata
+    u = enumerate_unitary(aw)
+    assert len(u) == order
+    assert {x.payload for x in enumerate_unitary(tw)} == {fwd(x.payload) for x in u}
+    which = "SU" if kind == "unitary" else "SO"
+    tone = tw.center_ring.one_p()
+    assert len(enumerate_special(aw, which)) == special
+    assert sum(tw.nrd_p(fwd(x.payload)) == tone for x in u) == special
+    # reduced norms agree through fwd once embedded back into each algebra
+    for p in itertools.islice(alg.elements_p(), 0, None, stride):
+        assert table.cdata.embed_p(tw.nrd_p(fwd(p))) == fwd(alg.cdata.embed_p(aw.nrd_p(p)))
 
 
 # -- abelian presentations -------------------------------------------------------

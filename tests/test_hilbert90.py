@@ -5,10 +5,10 @@ import pytest
 from order_oracles import unitary_order
 
 from azunorm import presets
-from azunorm.algebras import MatrixAlgebra
+from azunorm.algebras import AlgebraWithInvolution, MatrixAlgebra
 from azunorm.groups import enumerate_unitary
 from azunorm.hilbert90 import find_lambda, h90_witness, inclusion_check
-from azunorm.rings import ExactAlgebraError, RingMatrix
+from azunorm.rings import ClassificationError, ExactAlgebraError, RingMatrix
 
 
 def diag_generators():
@@ -117,6 +117,22 @@ def test_non_unitary_input_rejected():
     assert alg.mul_p(bad.payload, aw.sigma_p(bad.payload)) != alg.one_p()
     with pytest.raises(ExactAlgebraError):
         h90_witness(aw, bad)
+
+
+def test_witness_checks_its_input_once(monkeypatch):
+    aw, a = diag_generators()
+    calls = []
+    is_unitary_elem = AlgebraWithInvolution.is_unitary_elem
+
+    def counted(self, e):
+        calls.append(e)
+        return is_unitary_elem(self, e)
+    monkeypatch.setattr(AlgebraWithInvolution, "is_unitary_elem", counted)
+    assert h90_witness(aw, a).verified
+    assert calls == [a]
+    with pytest.raises(ClassificationError, match="^element is not norm-one unitary$"):
+        h90_witness(aw, aw.embed_center(aw.center_ring.one + aw.center_ring.sqrt_gen))
+    assert len(calls) == 2
 
 
 def test_first_kind_involution_rejected():
