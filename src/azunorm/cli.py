@@ -468,15 +468,18 @@ def run_task(name: str, params: dict, cfg: ExperimentConfig, seed: int,
     if name == "groups":
         which = params.get("which", "U,SU").split(",")
         metrics = {}
+        unitary = None      # U, enumerated at most once per task
         for w in which:
             w = w.strip()
+            if w in ("U", "SU", "SO") and cfg.awi is not None and unitary is None:
+                unitary = enumerate_unitary(cfg.awi)
             if w == "U":
                 if cfg.awi is None:
                     raise ConfigError("group U needs an involution")
-                metrics["U"] = len(enumerate_unitary(cfg.awi))
+                metrics["U"] = len(unitary)
             elif w in ("SU", "SO", "SL"):
                 target = cfg.awi if cfg.awi is not None else _need_algebra(cfg)
-                metrics[w] = len(enumerate_special(target, w))
+                metrics[w] = len(enumerate_special(target, w, unitary))
             else:
                 raise ConfigError(f"unknown group {w!r}")
         return ReportRecord(name, "PASS", metrics)

@@ -76,11 +76,12 @@ def _frames_p(alg: MatrixAlgebra, gram, conj):
         yield tuple(cols[j][i] for i in range(n) for j in range(n))
 
 
-def enumerate_special(a, which: str):
+def enumerate_special(a, which: str, unitary=None):
     """Norm-one subgroups: 'SL' (nrd = 1), 'SU'/'SO' (unitary and nrd = 1).
 
     'SL' accepts a bare algebra and sweeps it; the unitary flavours need an
-    involution and filter enumerate_unitary.
+    involution and filter its unitary group: the list enumerate_unitary(a)
+    returned when the caller passes it as unitary, else a fresh enumeration.
     """
     if which not in ("SL", "SU", "SO"):
         raise ClassificationError(f"unknown special group {which!r}")
@@ -88,7 +89,9 @@ def enumerate_special(a, which: str):
         if not isinstance(a, AlgebraWithInvolution):
             raise ClassificationError(f"{which} needs an involution")
         one_c = a.center_ring.one_p()
-        return [u for u in enumerate_unitary(a) if a.nrd_p(u.payload) == one_c]
+        if unitary is None:
+            unitary = enumerate_unitary(a)
+        return [u for u in unitary if a.nrd_p(u.payload) == one_c]
     alg = a.algebra if isinstance(a, AlgebraWithInvolution) else a
     one_c = alg.cdata.ring.one_p()
     return [AlgebraElem(alg, p) for p in alg.elements_p()

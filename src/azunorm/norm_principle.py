@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .algebras import AlgebraElem, AlgebraWithInvolution
 from .rings import (ClassificationError, ExactAlgebraError, NonUnitError,
@@ -30,7 +29,8 @@ class PlusMinusSplit:
 
     basis_plus starts with 1; basis_minus is basis_plus scaled by the
     embedded square root of the center unit.  The fixed basis orders the
-    minus block first.
+    minus block first.  minus_map stacks, for each b in basis_minus, the map
+    from base coordinates of a to the fixed coordinates of a*b.
     """
 
     def __init__(self, awi: AlgebraWithInvolution):
@@ -68,6 +68,9 @@ class PlusMinusSplit:
             self.basis_inverse = self.basis_matrix.inverse()
         except NonUnitError:
             raise ClassificationError("plus and minus blocks do not span freely")
+        self.minus_map = RingMatrix(base, m * r, r, [
+            x for b in minus for x in (self.basis_inverse * alg.right_mult_matrix(b)).cells])
+        self._anchored = None
 
     @staticmethod
     def _plus_basis_with_one_first(base, m, one_coords, fixed):
@@ -88,7 +91,7 @@ class PlusMinusSplit:
 
     # -- coordinates in the fixed basis ---------------------------------------
     def to_fixed(self, payload):
-        return self.basis_inverse.apply(list(self.algebra.coords_p(payload)))
+        return self.basis_inverse.apply(self.algebra.coords_p(payload))
 
     def from_minus_coords(self, coords):
         return self._combination(coords, self.basis_minus)
@@ -106,11 +109,13 @@ class PlusMinusSplit:
     def anchored_candidates(self):
         """Verified members of the witness domain of the form sqrt * symmetric,
         as (v, v^-1) pairs."""
-        return [(v, vinv) for v, vinv, _ in self._anchored]
+        return [(v, vinv) for v, vinv, _ in self._anchored_records()]
 
-    @cached_property
-    def _anchored(self):
-        """(v, v^-1, direct witness of v) per anchored candidate, in canonical order."""
+    def _anchored_records(self):
+        """(v, v^-1, direct witness of v) per anchored candidate, in canonical
+        order; built on first use into the plain attribute _anchored."""
+        if self._anchored is not None:
+            return self._anchored
         alg = self.algebra
         out = []
         for combo in itertools.product(list(alg.base.elements_p()), repeat=self.m):
@@ -119,6 +124,7 @@ class PlusMinusSplit:
             if rec is not None:
                 out.append((v2, alg.inv_p(v2),
                             _direct_witness(self, AlgebraElem(alg, v2), rec)))
+        self._anchored = out
         return out
 
 
@@ -134,18 +140,19 @@ def _omega(split: PlusMinusSplit, payload):
     if not alg.is_unit_p(payload):
         return None
     m = split.m
-    cols = []
-    for b in split.basis_minus:
-        cols.append(split.to_fixed(alg.mul_p(payload, b)))
     if m == 1:
         v_coords = [base.one_p()]
     else:
-        n_mat = RingMatrix.from_columns(base, [c[m + 1:] for c in cols[1:]])
+        # block j holds the fixed coordinates of a * basis_minus[j]
+        r = alg.rank
+        cols = split.minus_map.apply(alg.coords_p(payload))
+        n_mat = RingMatrix.from_columns(
+            base, [cols[j * r + m + 1:(j + 1) * r] for j in range(1, m)])
         try:
             n_inv = n_mat.inverse()
         except NonUnitError:
             return None
-        cbar = [base.neg_p(x) for x in cols[0][m + 1:]]
+        cbar = [base.neg_p(x) for x in cols[m + 1:r]]
         v_coords = [base.one_p()] + n_inv.apply(cbar)
     v = split.from_minus_coords(v_coords)
     av = alg.mul_p(payload, v)
@@ -255,7 +262,7 @@ def np_witness(split: PlusMinusSplit, a: AlgebraElem, seed: int = 0) -> NPWitnes
     rec = _omega(split, a.payload)
     if rec is not None:
         return _direct_witness(split, a, rec)
-    for _, v2inv, w2 in split._anchored:
+    for _, v2inv, w2 in split._anchored_records():
         w1 = _cofactor_witness(split, a, v2inv)
         if w1 is not None:
             return _factored_np_witness(split, a, w1, w2, None)

@@ -1016,9 +1016,13 @@ def nth_root_monic(p: Poly, n: int) -> Poly:
 
 
 class RingMatrix:
-    """Rectangular matrix over a Ring; payload cells, row-major."""
+    """Rectangular matrix over a Ring; payload cells, row-major.
 
-    __slots__ = ("ring", "nrows", "ncols", "cells")
+    _rows holds the nonzero (k, cell) pairs of each row, built from the
+    immutable cells on the first apply.
+    """
+
+    __slots__ = ("ring", "nrows", "ncols", "cells", "_rows")
 
     def __init__(self, ring: Ring, nrows: int, ncols: int, cells):
         cells = tuple(cells)
@@ -1028,6 +1032,7 @@ class RingMatrix:
         self.nrows = nrows
         self.ncols = ncols
         self.cells = cells
+        self._rows = None
 
     @classmethod
     def from_rows(cls, ring: Ring, rows):
@@ -1130,20 +1135,27 @@ class RingMatrix:
                           [fn(a) for a in self.cells])
 
     def apply(self, vec):
-        """Matrix times a payload column vector."""
+        """Matrix times a payload column vector (a sequence), walking only
+        the nonzero cells of each row."""
         if len(vec) != self.ncols:
             raise ShapeError("vector length mismatch")
         r = self.ring
+        add, mul = r.add_p, r.mul_p
         zero = r.zero_p()
+        rows = self._rows
+        if rows is None:
+            n = self.ncols
+            rows = self._rows = tuple(
+                tuple((k, a) for k, a in enumerate(self.cells[i * n:(i + 1) * n])
+                      if a != zero)
+                for i in range(self.nrows))
         out = []
-        for i in range(self.nrows):
+        for row in rows:
             acc = zero
-            base = i * self.ncols
-            for k, v in enumerate(vec):
-                a = self.cells[base + k]
-                if a == zero or v == zero:
-                    continue
-                acc = r.add_p(acc, r.mul_p(a, v))
+            for k, a in row:
+                v = vec[k]
+                if v != zero:
+                    acc = add(acc, mul(a, v))
             out.append(acc)
         return out
 

@@ -2,7 +2,8 @@
 
 check_laws takes three elements drawn by code; check_enumeration sweeps
 the ring once.  Together they are the oracle a faster representation of
-ring arithmetic has to keep.
+ring arithmetic has to keep.  dense_apply is the row-by-column product the
+sparse RingMatrix.apply is checked against.
 """
 
 import pytest
@@ -41,3 +42,15 @@ def check_enumeration(ring):
     elems = list(ring.elements_p())
     assert [ring.encode(p) for p in elems] == list(range(ring.size))
     assert all(ring.decode(ring.encode(p)) == p for p in elems)
+
+
+def dense_apply(m, vec):
+    """m times vec over every cell, zeros included."""
+    r = m.ring
+    out = []
+    for i in range(m.nrows):
+        acc = r.zero_p()
+        for k in range(m.ncols):
+            acc = r.add_p(acc, r.mul_p(m.at(i, k), vec[k]))
+        out.append(acc)
+    return out

@@ -6,6 +6,7 @@ from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from ring_laws import dense_apply
 
 from azunorm import presets
 from azunorm.algebras import (AlgebraWithInvolution, Involution, MatrixAlgebra,
@@ -262,6 +263,19 @@ def test_involution_is_an_anti_automorphism_of_order_two(name):
         assert sig(alg.mul_p(x, y)) == alg.mul_p(sig(y), sig(x))
 
     check()
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_INVOLUTIONS))
+def test_involution_matrix_applies_like_the_dense_product(name):
+    # every element of the algebras of at most 6,561 elements; a stride of
+    # 61 codes, prime to every digit size, through the larger ones
+    aw = SHIPPED_INVOLUTIONS[name]()
+    alg = aw.algebra
+    mat = aw.involution.matrix
+    step = 1 if alg.size <= 6561 else 61
+    for code in range(0, alg.size, step):
+        coords = alg.coords_p(alg.decode(code))
+        assert mat.apply(coords) == dense_apply(mat, coords)
 
 
 @pytest.mark.parametrize("name", sorted(SHIPPED_INVOLUTIONS))

@@ -1,6 +1,7 @@
 """Unitary and norm-one groups by enumeration, reduced-norm images, and
 finite abelian quotients with their invariant factors."""
 
+import io
 import itertools
 import random
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from order_oracles import gl_order, sl_order, special_unitary_order, unitary_order
 
-from azunorm import groups, presets
+from azunorm import cli, groups, presets
 from azunorm.algebras import (AlgebraElem, AlgebraWithInvolution, MatrixAlgebra,
                               TableAlgebra, adjoint_involution, extend_awi,
                               hermitian_involution, nrd, scalar_extension,
@@ -523,3 +524,33 @@ def test_subgroup_check_rejects_non_units():
         FiniteAbelianPresentation(z9, units + [z9.int_p(3)])
     with pytest.raises(ExactAlgebraError, match="1 is not a member"):
         FiniteAbelianPresentation(z9, units[1:])
+
+
+GROUPS_CONFIGS = {
+    "m2-f3i": "[etale]\ns = -1\n[algebra]\nform = split\ndegree = 2\n"
+              "involution = hermitian\nh = identity\n",
+    "m3-f3": "[algebra]\nform = split\ndegree = 3\ninvolution = transpose\n",
+}
+
+
+@pytest.mark.parametrize("case, which, want", [
+    ("m2-f3i", "U,SU", {"U": 96, "SU": 24}),
+    ("m2-f3i", "SU,U", {"SU": 24, "U": 96}),
+    ("m2-f3i", "SU", {"SU": 24}),
+    ("m3-f3", "U,SO", {"U": 48, "SO": 24}),
+])
+def test_groups_task_enumerates_u_once(monkeypatch, case, which, want):
+    cfg = cli.parse_config("[ring]\nkind = prime\nmodulus = 3\n" + GROUPS_CONFIGS[case])
+    real = groups.enumerate_unitary
+    calls = []
+
+    def counted(awi):
+        calls.append(awi)
+        return real(awi)
+
+    monkeypatch.setattr(groups, "enumerate_unitary", counted)
+    monkeypatch.setattr(cli, "enumerate_unitary", counted)
+    code, (rec,) = cli.run(cfg, tasks=[("groups", {"which": which}, 1)],
+                           out=io.StringIO())
+    assert code == 0 and rec.metrics == want
+    assert calls == [cfg.awi]

@@ -4,11 +4,14 @@ brute-force set comparison they are checked against."""
 
 import hashlib
 import random
+from functools import cached_property
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from ring_laws import dense_apply
 
 from azunorm import norm_principle, presets
+from azunorm.algebras import MatrixAlgebra
 from azunorm.groups import enumerate_unitary
 from azunorm.hilbert90 import h90_witness
 from azunorm.norm_principle import (NPWitness, PreconditionError, PlusMinusSplit,
@@ -179,6 +182,68 @@ def test_direct_route_computes_omega_once(monkeypatch):
     w = np_witness(sp, a)
     assert w.route == "direct" and w.verified
     assert calls == [a.payload]
+
+
+# every shipped unitary split, with the code stride its elements are checked at:
+# all elements of the degree-one cases and of h = identity, strides prime to
+# the digit sizes through the others
+SPLIT_STRIDES = {"m2-f3i-identity": 1, "m2-f3i-diag": 7, "m2-f3i-hyperbolic": 7,
+                 "m2-f5split": 401, **{f"deg1-{n}": 1 for n in presets.ETALE_NAMES}}
+
+
+def _shipped_unitary(name):
+    if name.startswith("m2-f3i-"):
+        return presets.unitary_m2_f3i(name[len("m2-f3i-"):])
+    if name == "m2-f5split":
+        return presets.unitary_m2_f5split()
+    return presets.degree_one_unitary(name[len("deg1-"):])
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_STRIDES))
+def test_minus_map_stacks_the_fixed_coordinates_of_minus_products(name):
+    aw = _shipped_unitary(name)
+    sp = pm_split(aw)
+    alg = aw.algebra
+    r, m = alg.rank, sp.m
+    assert (sp.minus_map.nrows, sp.minus_map.ncols) == (m * r, r)
+    for code in range(0, alg.size, SPLIT_STRIDES[name]):
+        a = alg.decode(code)
+        coords = alg.coords_p(a)
+        got = sp.minus_map.apply(coords)
+        assert got == dense_apply(sp.minus_map, coords)
+        assert sp.basis_inverse.apply(coords) == dense_apply(sp.basis_inverse, coords)
+        assert [got[j * r:(j + 1) * r] for j in range(m)] == \
+            [sp.to_fixed(alg.mul_p(a, b)) for b in sp.basis_minus]
+
+
+def test_omega_on_a_unit_multiplies_once(monkeypatch):
+    # the corner columns come from minus_map; a*v is the one algebra product
+    aw, sp = m2_split()
+    alg = aw.algebra
+    a = next(p for p in alg.elements_p()
+             if alg.is_unit_p(p) and norm_principle._omega(sp, p) is not None)
+    real = MatrixAlgebra.mul_p
+    calls = []
+
+    def counted(self, x, y):
+        calls.append((x, y))
+        return real(self, x, y)
+
+    monkeypatch.setattr(MatrixAlgebra, "mul_p", counted)
+    v, av, _, _ = norm_principle._omega(sp, a)
+    assert calls == [(a, v)]
+    assert av == real(alg, a, v)
+
+
+def test_anchored_records_are_a_plain_attribute_built_on_first_use():
+    aw, sp = m2_split()
+    assert not any(isinstance(x, cached_property) for x in vars(PlusMinusSplit).values())
+    assert vars(sp)["_anchored"] is None
+    pairs = sp.anchored_candidates()
+    records = sp._anchored
+    assert [(v, vinv) for v, vinv, _ in records] == pairs
+    sp.anchored_candidates()
+    assert sp._anchored is records
 
 
 def _seeded_units(alg, count, seed=7):

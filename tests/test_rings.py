@@ -6,7 +6,7 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from ring_laws import check_enumeration, check_laws, elements
+from ring_laws import check_enumeration, check_laws, dense_apply, elements
 
 from azunorm import presets
 from azunorm.algebras import MatrixAlgebra, scalar_extension
@@ -331,3 +331,30 @@ def test_ring_laws(name, build, data):
 @pytest.mark.parametrize("name,build", LAW_RINGS, ids=[n for n, _ in LAW_RINGS])
 def test_enumeration_order_and_codes(name, build):
     check_enumeration(build())
+
+
+def test_sparse_apply_matches_the_dense_product():
+    # random shapes over a non-field and a field, with zero rows and zero
+    # vector entries; each matrix is applied twice, after its rows are compiled
+    rng = random.Random(20261019)
+    f3i = presets.etale_preset("f3i")
+    for ring in (Z9, f3i):
+        zero = ring.zero_p()
+        for _ in range(200):
+            nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+            dead = {i for i in range(nrows) if rng.random() < 0.3}
+            cells = [zero if i in dead or rng.random() < 0.4
+                     else ring.decode(rng.randrange(ring.size))
+                     for i in range(nrows) for _ in range(ncols)]
+            m = RingMatrix(ring, nrows, ncols, cells)
+            for _ in range(2):
+                vec = [zero if rng.random() < 0.4 else ring.decode(rng.randrange(ring.size))
+                       for _ in range(ncols)]
+                assert m.apply(vec) == dense_apply(m, vec)
+                assert m.apply(tuple(vec)) == dense_apply(m, vec)
+            assert [list(row) for row in m._rows] == \
+                [[(k, a) for k, a in enumerate(m.row(i)) if a != zero] for i in range(nrows)]
+            with pytest.raises(ShapeError):
+                m.apply([zero] * (ncols + 1))
+            with pytest.raises(ShapeError):
+                m.apply([zero] * (ncols - 1))
