@@ -76,6 +76,10 @@ class Algebra(Ring):
     def right_mult_matrix(self, payload) -> RingMatrix:
         return self.matrix_of(lambda b: self.mul_p(b, payload))
 
+    def mul_is_one_p(self, a, b) -> bool:
+        """Whether a*b = 1."""
+        return self.mul_p(a, b) == self.one_p()
+
     @property
     def cdata(self) -> "CenterData":
         """The algebra's center and center-module structure, built once."""
@@ -144,6 +148,33 @@ class MatrixAlgebra(Algebra):
                     acc = c.add_p(acc, c.mul_p(x, y))
                 out.append(acc)
         return tuple(out)
+
+    def mul_is_one_p(self, a, b) -> bool:
+        """Whether a*b = 1, computing the entries of a*b in row-major order
+        and stopping at the first one that differs from the identity's.
+
+        A separate loop, not a view of mul_p: most units fail at entry
+        (0, 0), so the other entries of a*b are never formed.
+        """
+        c = self.center
+        add, mul = c.add_p, c.mul_p
+        n = self.n
+        zero, one = c.zero_p(), c.one_p()
+        for i in range(n):
+            row = i * n
+            for j in range(n):
+                acc = zero
+                for k in range(n):
+                    x = a[row + k]
+                    if x == zero:
+                        continue
+                    y = b[k * n + j]
+                    if y == zero:
+                        continue
+                    acc = add(acc, mul(x, y))
+                if acc != (one if i == j else zero):
+                    return False
+        return True
 
     def scale_base_p(self, a, r):
         if self.center_rank == 2:
@@ -607,9 +638,12 @@ class AlgebraWithInvolution:
     def sigma(self, e: AlgebraElem) -> AlgebraElem:
         return self.involution.apply(e)
 
+    def is_unitary_p(self, payload) -> bool:
+        """Whether payload * sigma(payload) = 1."""
+        return self.algebra.mul_is_one_p(payload, self.sigma_p(payload))
+
     def is_unitary_elem(self, e: AlgebraElem) -> bool:
-        a = e.payload
-        return self.algebra.mul_p(a, self.sigma_p(a)) == self.algebra.one_p()
+        return self.is_unitary_p(e.payload)
 
     # -- center --------------------------------------------------------------
     def embed_center(self, c: RingElem) -> AlgebraElem:

@@ -25,13 +25,11 @@ def enumerate_unitary(awi: AlgebraWithInvolution):
     frames; table involutions, which carry no form, are swept.
     """
     alg = awi.algebra
-    one = alg.one_p()
-    sig = awi.sigma_p
     form = awi.involution.form
     cands = alg.elements_p() if form is None else _frames_p(alg, *form)
     out = []
     for p in cands:
-        if alg.mul_p(p, sig(p)) == one:
+        if awi.is_unitary_p(p):
             out.append(AlgebraElem(alg, p))
         elif form is not None:
             raise ExactAlgebraError("frame is not unitary under the involution matrix")

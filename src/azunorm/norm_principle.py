@@ -188,9 +188,8 @@ class NPWitness:
 
 
 def _verify_witness(awi: AlgebraWithInvolution, a_payload, w_payload) -> bool:
-    alg = awi.algebra
     C = awi.center_ring
-    if alg.mul_p(w_payload, awi.sigma_p(w_payload)) != alg.one_p():
+    if not awi.is_unitary_p(w_payload):
         return False
     na = awi.nrd_p(a_payload)
     want = C.mul_p(na, C.inv_p(C.sigma_p(na)))
@@ -306,8 +305,6 @@ def np_bruteforce_check(awi: AlgebraWithInvolution) -> NPBruteReport:
         raise ClassificationError("the norm identity is about unitary involutions")
     alg = awi.algebra
     C = awi.center_ring
-    one = alg.one_p()
-    sig = awi.sigma_p
 
     def part(lo, hi):
         nrdset = set()
@@ -320,7 +317,7 @@ def np_bruteforce_check(awi: AlgebraWithInvolution) -> NPBruteReport:
                 continue
             unit_count += 1
             nrdset.add(nv)
-            if alg.mul_p(p, sig(p)) == one:
+            if awi.is_unitary_p(p):
                 unitary_count += 1
                 lhs.add(nv)
         return nrdset, lhs, unit_count, unitary_count

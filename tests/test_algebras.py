@@ -16,8 +16,9 @@ from azunorm.algebras import (AlgebraWithInvolution, Involution, MatrixAlgebra,
                               quaternion_table, rebase_table,
                               reduced_char_poly, reduced_char_poly_data,
                               scalar_extension, to_table, transpose_involution)
+from azunorm.groups import enumerate_unitary
 from azunorm.rings import (ClassificationError, NonUnitError, PrimeField,
-                           RingElem, RingMatrix, ShapeError)
+                           RingElem, RingMatrix, ShapeError, Zmod)
 from azunorm.transfers import etale_extension
 
 F3 = PrimeField(3)
@@ -292,6 +293,85 @@ def test_nrd_is_multiplicative(name):
         assert aw.nrd_p(alg.mul_p(x, y)) == mul(aw.nrd_p(x), aw.nrd_p(y))
 
     check()
+
+
+# -- the unitary test: a*b = 1 without forming all of a*b -------------------------
+
+PRODUCT_ALGEBRAS = {
+    "m2-z9": lambda: MatrixAlgebra(Zmod(9), 2),
+    "m2-f3i": lambda: MatrixAlgebra(presets.etale_preset("f3i"), 2),
+    "m2-f5split": lambda: MatrixAlgebra(presets.etale_preset("f5split"), 2),
+    "m3-f3": lambda: presets.matrix_preset(3, 3),
+    **{f"deg1-{n}": lambda n=n: MatrixAlgebra(presets.etale_preset(n), 1)
+       for n in presets.ETALE_NAMES},
+}
+
+
+def _random_unit(alg, rng):
+    while True:
+        a = alg.decode(rng.randrange(alg.size))
+        if alg.is_unit_p(a):
+            return a
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_ALGEBRAS))
+def test_mul_is_one_matches_the_full_product(name):
+    alg = PRODUCT_ALGEBRAS[name]()
+    one = alg.one_p()
+    rng = random.Random(23)
+    pairs = [(alg.decode(rng.randrange(alg.size)), alg.decode(rng.randrange(alg.size)))
+             for _ in range(300)]
+    for _ in range(20):
+        a = _random_unit(alg, rng)
+        pairs += [(a, alg.inv_p(a)), (alg.inv_p(a), a)]
+    verdicts = [alg.mul_is_one_p(a, b) for a, b in pairs]
+    assert verdicts == [alg.mul_p(a, b) == one for a, b in pairs]
+    assert verdicts.count(True) >= 40
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_ALGEBRAS))
+def test_mul_is_one_sees_every_entry(name):
+    # b = a^-1 * E, where E is the identity with entry (i, j) changed, so
+    # a*b differs from 1 at (i, j) alone
+    alg = PRODUCT_ALGEBRAS[name]()
+    C, n = alg.center, alg.n
+    one = alg.one_p()
+    rng = random.Random(29)
+    for _ in range(3):
+        a = _random_unit(alg, rng)
+        a_inv = alg.inv_p(a)
+        for pos in range(n * n):
+            for value in C.elements_p():
+                if value == one[pos]:
+                    continue
+                e = one[:pos] + (value,) + one[pos + 1:]
+                b = alg.mul_p(a_inv, e)
+                assert alg.mul_p(a, b) == e
+                assert not alg.mul_is_one_p(a, b), (pos, value)
+
+
+UNITARY_CASES = [f"m2-f3i-{h}" for h in presets.H_NAMES] + \
+    [f"deg1-{n}" for n in presets.ETALE_NAMES] + ["m2-f5split", "quat-f3", "quat-f5"]
+
+
+@pytest.mark.parametrize("name", UNITARY_CASES)
+def test_is_unitary_matches_the_full_product(name):
+    # every element up to 6,561; M2(f5split) by a stride of 61 codes plus
+    # its 480 unitaries from the frames; the quaternion tables take the
+    # generic a*b == 1
+    aw = SHIPPED_INVOLUTIONS[name]()
+    alg = aw.algebra
+    one = alg.one_p()
+    if alg.size <= 6561:
+        elems = list(alg.elements_p())
+    else:
+        elems = [alg.decode(c) for c in range(0, alg.size, 61)]
+        elems += [e.payload for e in enumerate_unitary(aw)]
+    verdicts = [aw.is_unitary_p(p) for p in elems]
+    assert verdicts == [alg.mul_p(p, aw.sigma_p(p)) == one for p in elems]
+    assert any(verdicts) and not all(verdicts)
+    assert all(aw.is_unitary_elem(alg.elem(p)) == v
+               for p, v in zip(elems[:200], verdicts))
 
 
 @pytest.mark.parametrize("name", ["m2-f3", "quat-f3", "deg1-f5sqrt2"])

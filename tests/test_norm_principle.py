@@ -10,8 +10,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from ring_laws import dense_apply
 
-from azunorm import norm_principle, presets
-from azunorm.algebras import MatrixAlgebra
+from azunorm import norm_principle, presets, rings
+from azunorm.algebras import AlgebraWithInvolution, MatrixAlgebra
 from azunorm.groups import enumerate_unitary
 from azunorm.hilbert90 import h90_witness
 from azunorm.norm_principle import (NPWitness, PreconditionError, PlusMinusSplit,
@@ -233,6 +233,30 @@ def test_omega_on_a_unit_multiplies_once(monkeypatch):
     v, av, _, _ = norm_principle._omega(sp, a)
     assert calls == [(a, v)]
     assert av == real(alg, a, v)
+
+
+def test_bruteforce_sweep_tests_unitarity_without_products(monkeypatch):
+    # one is_unitary_p per unit and no full product a*sigma(a); serial sweep
+    aw = presets.unitary_m2_f3i("identity")
+    monkeypatch.setattr(rings, "PART_MIN", aw.algebra.size + 1)
+    counts = {"mul_p": 0, "is_unitary_p": 0}
+
+    def counted(cls, name):
+        real = getattr(cls, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counted(MatrixAlgebra, "mul_p")
+    counted(AlgebraWithInvolution, "is_unitary_p")
+    rep = np_bruteforce_check(aw)
+    assert counts == {"mul_p": 0, "is_unitary_p": 5760}
+    assert (rep.unit_count, rep.unitary_count) == (5760, 96)
+    assert rep.lhs == rep.rhs == {(0, 1), (0, 2), (1, 0), (2, 0)}
+    assert rep.equal and (rep.lhs_size, rep.rhs_size) == (4, 4)
 
 
 def test_anchored_records_are_a_plain_attribute_built_on_first_use():
