@@ -20,7 +20,8 @@ from math import isqrt
 from .etale import QuadraticEtale
 from .rings import (ClassificationError, ExactAlgebraError, NonUnitError, Poly,
                     Ring, RingElem, RingMatrix, ShapeError, det2_p,
-                    extend_basis, nth_root_monic, nullspace, solve_field)
+                    extend_basis, matmul_cells, nth_root_monic, nullspace,
+                    solve_field)
 
 
 # An algebra is a Ring, so its elements are RingElem; the name stays for callers.
@@ -121,40 +122,16 @@ class MatrixAlgebra(Algebra):
         n = self.n
         return tuple(o if i == j else z for i in range(n) for j in range(n))
 
-    def add_p(self, a, b):
-        add = self.center.add_p
-        return tuple(add(x, y) for x, y in zip(a, b))
-
-    def neg_p(self, a):
-        neg = self.center.neg_p
-        return tuple(neg(x) for x in a)
-
     def mul_p(self, a, b):
-        c = self.center
         n = self.n
-        zero = c.zero_p()
-        out = []
-        for i in range(n):
-            row = i * n
-            for j in range(n):
-                acc = zero
-                for k in range(n):
-                    x = a[row + k]
-                    if x == zero:
-                        continue
-                    y = b[k * n + j]
-                    if y == zero:
-                        continue
-                    acc = c.add_p(acc, c.mul_p(x, y))
-                out.append(acc)
-        return tuple(out)
+        return tuple(matmul_cells(self.center, a, b, n, n, n))
 
     def mul_is_one_p(self, a, b) -> bool:
         """Whether a*b = 1, computing the entries of a*b in row-major order
         and stopping at the first one that differs from the identity's.
 
-        A separate loop, not a view of mul_p: most units fail at entry
-        (0, 0), so the other entries of a*b are never formed.
+        A separate loop, not a view of matmul_cells: most units fail at
+        entry (0, 0), so the other entries of a*b are never formed.
         """
         c = self.center
         add, mul = c.add_p, c.mul_p
@@ -284,14 +261,6 @@ class TableAlgebra(Algebra):
         return tuple(self.base.one_p() if i == self.unit_index else self.base.zero_p()
                      for i in range(self.rank))
 
-    def add_p(self, a, b):
-        add = self.base.add_p
-        return tuple(add(x, y) for x, y in zip(a, b))
-
-    def neg_p(self, a):
-        neg = self.base.neg_p
-        return tuple(neg(x) for x in a)
-
     def mul_p(self, a, b):
         base = self.base
         zero = base.zero_p()
@@ -323,23 +292,6 @@ class TableAlgebra(Algebra):
         except NonUnitError:
             raise NonUnitError("element is not a unit (regular norm not a unit)")
         return tuple(inv.apply(list(self.one_p())))
-
-    def left_mult_matrix(self, payload) -> RingMatrix:
-        base = self.base
-        r = self.rank
-        zero = base.zero_p()
-        cells = [zero] * (r * r)
-        for k, xk in enumerate(payload):
-            if xk == zero:
-                continue
-            gk = self.gamma[k]
-            for j in range(r):
-                col = gk[j]
-                for i, g in enumerate(col):
-                    if g != zero:
-                        cells[i * r + j] = base.add_p(cells[i * r + j],
-                                                      base.mul_p(xk, g))
-        return RingMatrix(base, r, r, cells)
 
     # -- coordinates --------------------------------------------------------
     def coords_p(self, a):

@@ -33,7 +33,7 @@ from .rings import (ConfigError, ExactAlgebraError, PrimeField, RingMatrix,
                     Zmod, _is_prime)
 from .transfers import (FiniteFreeExtension, additivity_check,
                         base_change_check, etale_extension,
-                        norm_inclusion_check, transfer_on_functor)
+                        norm_inclusion_check)
 
 _SECTION_KEYS = {
     "ring": {"kind", "modulus"},
@@ -409,6 +409,14 @@ def _int_param(params, key, default):
         raise ConfigError(f"parameter {key} must be an integer")
 
 
+def _with_algebra(params, lineno: int) -> bool:
+    """The algebra= parameter of functor and axioms: yes (the default) or no."""
+    value = params.get("algebra", "yes")
+    if value not in ("yes", "no"):
+        _fail(lineno, f"algebra must be yes or no, got {value!r}")
+    return value == "yes"
+
+
 def run_task(name: str, params: dict, cfg: ExperimentConfig, seed: int,
              lineno: int) -> ReportRecord:
     """Run one task; lineno is its config line (0 for a subcommand task)."""
@@ -449,6 +457,8 @@ def run_task(name: str, params: dict, cfg: ExperimentConfig, seed: int,
             raise ConfigError("task np-witness needs a=<element>")
         a = awi.algebra.elem(_parse_element(cfg, params["a"], lineno))
         use_seed = _int_param(params, "seed", seed)
+        if use_seed < 0:
+            _fail(lineno, "seed must be nonnegative")
         w = np_witness(cfg.split, a, seed=use_seed)
         dump = {"route": w.route, "w": str(w.w)}
         if w.seed is not None:
@@ -488,12 +498,12 @@ def run_task(name: str, params: dict, cfg: ExperimentConfig, seed: int,
         kind = params.get("kind", "linear")
         d = _int_param(params, "d", 1)
         ext = _extension_for(cfg, params.get("ext", "identity"))
-        with_algebra = params.get("algebra", "yes")
+        with_algebra = _with_algebra(params, lineno)
         if kind == "linear":
-            arg = None if with_algebra == "no" else _need_algebra(cfg)
+            arg = _need_algebra(cfg) if with_algebra else None
             value = functor_linear(arg, ext, d)
         elif kind == "unitary":
-            if with_algebra == "no":
+            if not with_algebra:
                 if cfg.etale is None:
                     raise ConfigError("unitary functor without algebra needs [etale]")
                 arg = cfg.etale
@@ -522,7 +532,7 @@ def run_task(name: str, params: dict, cfg: ExperimentConfig, seed: int,
             d = _int_param(params, "d", 1)
             e1 = FiniteFreeExtension.identity(cfg.ring)
             e2 = _extension_for(cfg, params.get("ext", "etale"))
-            arg = None if params.get("algebra", "yes") == "no" else _need_algebra(cfg)
+            arg = _need_algebra(cfg) if _with_algebra(params, lineno) else None
             rep = additivity_check(arg, e1, e2, d=d)
             return ReportRecord(name, "PASS" if rep.ok else "FAIL",
                                 {"checked": rep.checked,

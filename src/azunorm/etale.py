@@ -115,10 +115,9 @@ class QuadraticEtale(PolyQuotient):
         if cand.is_unit:
             return cand
         lam_p = lam.payload
-        for c in self.units():
-            q = self.mul_p(c.payload, self.inv_p(self.sigma_p(c.payload)))
-            if q == lam_p:
-                return c
+        for c in self.units_p():
+            if self.mul_p(c, self.inv_p(self.sigma_p(c))) == lam_p:
+                return self.elem(c)
         raise SearchExhausted(
             f"no unit c with c*sigma(c)^{{-1}} = {self.show(lam_p)} in {self!r}")
 

@@ -14,7 +14,8 @@ from .algebras import (Algebra, AlgebraElem, AlgebraWithInvolution,
                        MatrixAlgebra, extend_awi, nrd_data as algebra_nrd,
                        scalar_extension)
 from .etale import QuadraticEtale
-from .rings import ClassificationError, ExactAlgebraError, Ring, RingElem
+from .rings import (ClassificationError, ExactAlgebraError, Ring, RingElem,
+                    square_and_multiply)
 
 
 def enumerate_unitary(awi: AlgebraWithInvolution):
@@ -127,9 +128,9 @@ def nrd_unit_image(algebra: Algebra):
     value can.  A proper-subgroup image is swept to the end.
     """
     if isinstance(algebra, MatrixAlgebra):
-        return {u.payload for u in algebra.center.units()}
+        return set(algebra.center.units_p())
     C = algebra.cdata.ring
-    center_units = {u.payload for u in C.units()}
+    center_units = set(C.units_p())
     out = set()
     for p in algebra.elements_p():
         # over an Azumaya algebra x is a unit exactly when nrd(x) is
@@ -222,14 +223,7 @@ class FiniteAbelianPresentation:
         return self.rep(self.ring.mul_p(a, b))
 
     def pow(self, a, k: int):
-        out = self.identity
-        cur = self.rep(a)
-        while k:
-            if k & 1:
-                out = self.op(out, cur)
-            cur = self.op(cur, cur)
-            k >>= 1
-        return out
+        return square_and_multiply(self.op, self.identity, self.rep(a), k)
 
     def inverse_rep(self, a):
         return self.rep(self.ring.inv_p(self.rep(a)))
@@ -306,10 +300,6 @@ class FiniteAbelianPresentation:
                 f"divisors {self.elementary_divisors})")
 
 
-def _unit_payloads(ring: Ring):
-    return [u.payload for u in ring.units()]
-
-
 def functor_linear(algebra, ext, d: int) -> FiniteAbelianPresentation:
     """Units of the extended ring modulo reduced norms times d-th powers.
 
@@ -321,7 +311,7 @@ def functor_linear(algebra, ext, d: int) -> FiniteAbelianPresentation:
     if d < 0:
         raise ExactAlgebraError("d must be nonnegative")
     T = ext.total
-    units = _unit_payloads(T)
+    units = T.units_p()
     powd = {T.pow_p(u, d) for u in units}
     if algebra is None:
         sub = powd

@@ -70,6 +70,7 @@ class PlusMinusSplit:
             raise ClassificationError("plus and minus blocks do not span freely")
         self.minus_map = RingMatrix(base, m * r, r, [
             x for b in minus for x in (self.basis_inverse * alg.right_mult_matrix(b)).cells])
+        self._pad = [base.zero_p()] * m
         self._anchored = None
 
     @staticmethod
@@ -93,18 +94,13 @@ class PlusMinusSplit:
     def to_fixed(self, payload):
         return self.basis_inverse.apply(self.algebra.coords_p(payload))
 
+    # sum c_k * basis_minus[k] (or basis_plus[k]): basis_matrix on the fixed
+    # coordinates, zero-padded in the other block
     def from_minus_coords(self, coords):
-        return self._combination(coords, self.basis_minus)
+        return self.algebra.from_coords_p(self.basis_matrix.apply(list(coords) + self._pad))
 
     def from_plus_coords(self, coords):
-        return self._combination(coords, self.basis_plus)
-
-    def _combination(self, coords, basis):
-        alg = self.algebra
-        acc = alg.zero_p()
-        for c, b in zip(coords, basis):
-            acc = alg.add_p(acc, alg.scale_base_p(b, c))
-        return acc
+        return self.algebra.from_coords_p(self.basis_matrix.apply(self._pad + list(coords)))
 
     def anchored_candidates(self):
         """Verified members of the witness domain of the form sqrt * symmetric,
@@ -119,7 +115,8 @@ class PlusMinusSplit:
         alg = self.algebra
         out = []
         for combo in itertools.product(list(alg.base.elements_p()), repeat=self.m):
-            v2 = alg.mul_p(self.sqrt_b, self.from_plus_coords(combo))
+            # sqrt_b * (plus combination), since basis_minus is sqrt_b * basis_plus
+            v2 = self.from_minus_coords(combo)
             rec = _omega(self, v2)
             if rec is not None:
                 out.append((v2, alg.inv_p(v2),
@@ -140,20 +137,18 @@ def _omega(split: PlusMinusSplit, payload):
     if not alg.is_unit_p(payload):
         return None
     m = split.m
-    if m == 1:
-        v_coords = [base.one_p()]
-    else:
-        # block j holds the fixed coordinates of a * basis_minus[j]
-        r = alg.rank
-        cols = split.minus_map.apply(alg.coords_p(payload))
-        n_mat = RingMatrix.from_columns(
-            base, [cols[j * r + m + 1:(j + 1) * r] for j in range(1, m)])
-        try:
-            n_inv = n_mat.inverse()
-        except NonUnitError:
-            return None
-        cbar = [base.neg_p(x) for x in cols[m + 1:r]]
-        v_coords = [base.one_p()] + n_inv.apply(cbar)
+    # block j holds the fixed coordinates of a * basis_minus[j]; the corner
+    # is empty when m = 1, and then v_coords = [1]
+    r = alg.rank
+    cols = split.minus_map.apply(alg.coords_p(payload))
+    n_mat = RingMatrix.from_columns(
+        base, [cols[j * r + m + 1:(j + 1) * r] for j in range(1, m)])
+    try:
+        n_inv = n_mat.inverse()
+    except NonUnitError:
+        return None
+    cbar = [base.neg_p(x) for x in cols[m + 1:r]]
+    v_coords = [base.one_p()] + n_inv.apply(cbar)
     v = split.from_minus_coords(v_coords)
     av = alg.mul_p(payload, v)
     if not alg.is_unit_p(av):

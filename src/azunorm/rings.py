@@ -17,8 +17,9 @@ and only the leaf Zmod codes an int directly.
 from __future__ import annotations
 
 import itertools
+import operator
 import os
-from math import gcd, isqrt
+from math import gcd
 
 
 class ExactAlgebraError(Exception):
@@ -85,6 +86,39 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def square_and_multiply(mul, one, a, k: int):
+    """a^k for k >= 0 under the associative product mul with identity one."""
+    out = one
+    while k:
+        if k & 1:
+            out = mul(out, a)
+        k >>= 1
+        if k:
+            a = mul(a, a)
+    return out
+
+
+def matmul_cells(r: "Ring", a, b, rows: int, inner: int, cols: int) -> list:
+    """Row-major cells of the product of a (rows x inner) and b (inner x
+    cols), row-major cell sequences over r; zero terms are skipped."""
+    add, mul = r.add_p, r.mul_p
+    zero = r.zero_p()
+    out = []
+    for row in range(0, rows * inner, inner):
+        for j in range(cols):
+            acc = zero
+            for k in range(inner):
+                x = a[row + k]
+                if x == zero:
+                    continue
+                y = b[k * cols + j]
+                if y == zero:
+                    continue
+                acc = add(acc, mul(x, y))
+            out.append(acc)
+    return out
+
+
 class Ring:
     """Abstract finite (or polynomial) ring with identity; commutative unless
     it is an Algebra.
@@ -108,10 +142,11 @@ class Ring:
         raise NotImplementedError
 
     def add_p(self, a, b):
-        raise NotImplementedError
+        """Slot-wise sum over the slot rings in _digits."""
+        return tuple([d.add_p(x, y) for d, x, y in zip(self._digits, a, b)])
 
     def neg_p(self, a):
-        raise NotImplementedError
+        return tuple([d.neg_p(x) for d, x in zip(self._digits, a)])
 
     def mul_p(self, a, b):
         raise NotImplementedError
@@ -187,26 +222,22 @@ class Ring:
     def from_int(self, k: int) -> "RingElem":
         return RingElem(self, self.int_p(k))
 
-    def units(self):
-        """All units, in canonical order (cached)."""
-        got = getattr(self, "_unit_list", None)
+    def units_p(self):
+        """Payloads of all units, in canonical order (cached)."""
+        got = getattr(self, "_unit_payloads", None)
         if got is None:
-            got = [RingElem(self, p) for p in self.elements_p() if self.is_unit_p(p)]
-            self._unit_list = got
+            got = self._unit_payloads = [p for p in self.elements_p() if self.is_unit_p(p)]
         return list(got)
+
+    def units(self):
+        """All units, in canonical order."""
+        return [RingElem(self, p) for p in self.units_p()]
 
     def pow_p(self, a, k: int):
         if k < 0:
             a = self.inv_p(a)
             k = -k
-        out = self.one_p()
-        while k:
-            if k & 1:
-                out = self.mul_p(out, a)
-            k >>= 1
-            if k:
-                a = self.mul_p(a, a)
-        return out
+        return square_and_multiply(self.mul_p, self.one_p(), a, k)
 
     def is_reduced(self) -> bool:
         """No nonzero nilpotents; decided by scanning (finite rings only)."""
@@ -569,15 +600,7 @@ class Poly:
     def __pow__(self, k: int):
         if k < 0:
             raise ShapeError("negative polynomial power")
-        out = Poly(self.ring, [self.ring.one_p()])
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
+        return square_and_multiply(operator.mul, Poly(self.ring, [self.ring.one_p()]), self, k)
 
     def scale(self, c: RingElem) -> "Poly":
         r = self.ring
@@ -709,21 +732,21 @@ class PolyQuotient(Ring):
     def add_p(self, a, b):
         table = self._add_t
         if table is None:
-            return self.generic_add_p(a, b)
+            return Ring.add_p(self, a, b)
         try:
             return table[a][b]
         except KeyError:
-            out = table.setdefault(a, {})[b] = self.generic_add_p(a, b)
+            out = table.setdefault(a, {})[b] = Ring.add_p(self, a, b)
             return out
 
     def neg_p(self, a):
         table = self._neg_t
         if table is None:
-            return self.generic_neg_p(a)
+            return Ring.neg_p(self, a)
         try:
             return table[a]
         except KeyError:
-            out = table[a] = self.generic_neg_p(a)
+            out = table[a] = Ring.neg_p(self, a)
             return out
 
     def mul_p(self, a, b):
@@ -736,15 +759,7 @@ class PolyQuotient(Ring):
             out = table.setdefault(a, {})[b] = self.generic_mul_p(a, b)
             return out
 
-    # -- the generic tuple arithmetic: table filler and test oracle ---------
-    def generic_add_p(self, a, b):
-        add = self.base.add_p
-        return tuple(add(x, y) for x, y in zip(a, b))
-
-    def generic_neg_p(self, a):
-        neg = self.base.neg_p
-        return tuple(neg(x) for x in a)
-
+    # -- the generic product: table filler and test oracle -------------------
     def generic_mul_p(self, a, b):
         base = self.base
         d = self.deg
@@ -870,12 +885,6 @@ class ProductRing(Ring):
 
     def one_p(self):
         return tuple(f.one_p() for f in self.factors)
-
-    def add_p(self, a, b):
-        return tuple(f.add_p(x, y) for f, x, y in zip(self.factors, a, b))
-
-    def neg_p(self, a):
-        return tuple(f.neg_p(x) for f, x in zip(self.factors, a))
 
     def mul_p(self, a, b):
         return tuple(f.mul_p(x, y) for f, x, y in zip(self.factors, a, b))
@@ -1102,22 +1111,8 @@ class RingMatrix:
         self._compat(other)
         if self.ncols != other.nrows:
             raise ShapeError("inner dimensions differ")
-        r = self.ring
-        zero = r.zero_p()
-        out = []
-        ocells = other.cells
-        on = other.ncols
-        for i in range(self.nrows):
-            base = i * self.ncols
-            for j in range(on):
-                acc = zero
-                for k in range(self.ncols):
-                    a = self.cells[base + k]
-                    if a == zero:
-                        continue
-                    acc = r.add_p(acc, r.mul_p(a, ocells[k * on + j]))
-                out.append(acc)
-        return RingMatrix(r, self.nrows, on, out)
+        return RingMatrix(self.ring, self.nrows, other.ncols, matmul_cells(
+            self.ring, self.cells, other.cells, self.nrows, self.ncols, other.ncols))
 
     def scale(self, c) -> "RingMatrix":
         p = c.payload if isinstance(c, RingElem) else c

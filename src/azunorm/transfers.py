@@ -335,14 +335,14 @@ def additivity_check(algebra, e1: FiniteFreeExtension, e2: FiniteFreeExtension,
     target = functor_linear(algebra, FiniteFreeExtension.identity(base), d)
     checked = 0
     failures = []
-    for u in prod.total.units():
-        p1, p2 = u.payload
-        n_prod = prod.norm_p(u.payload)
+    for u in prod.total.units_p():
+        p1, p2 = u
+        n_prod = prod.norm_p(u)
         n_split = base.mul_p(e1.norm_p(p1), e2.norm_p(p2))
         if n_prod != n_split:
-            failures.append(("norm", u.payload))
+            failures.append(("norm", u))
         elif target.rep(n_prod) != target.op(e1.norm_p(p1), e2.norm_p(p2)):
-            failures.append(("coset", u.payload))
+            failures.append(("coset", u))
         checked += 1
     return AdditivityReport(ok=not failures, checked=checked, failures=failures[:5])
 

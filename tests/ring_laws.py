@@ -3,7 +3,8 @@
 check_laws takes three elements drawn by code; check_enumeration sweeps
 the ring once.  Together they are the oracle a faster representation of
 ring arithmetic has to keep.  dense_apply is the row-by-column product the
-sparse RingMatrix.apply is checked against.
+sparse RingMatrix.apply is checked against, and dense_product the
+row-by-column matrix product that rings.matmul_cells is checked against.
 """
 
 import pytest
@@ -53,4 +54,17 @@ def dense_apply(m, vec):
         for k in range(m.ncols):
             acc = r.add_p(acc, r.mul_p(m.at(i, k), vec[k]))
         out.append(acc)
+    return out
+
+
+def dense_product(a, b):
+    """Row-major cells of a times b, each a sum over every k, zeros included."""
+    r = a.ring
+    out = []
+    for i in range(a.nrows):
+        for j in range(b.ncols):
+            acc = r.zero_p()
+            for k in range(a.ncols):
+                acc = r.add_p(acc, r.mul_p(a.at(i, k), b.at(k, j)))
+            out.append(acc)
     return out

@@ -451,6 +451,40 @@ def test_base_change_rejects_nonpositive_samples(tmp_path, capsys):
         assert out.startswith('CHECK axioms ERROR detail="samples must be at least 1')
 
 
+def test_algebra_parameter_is_yes_or_no(tmp_path, capsys):
+    path = write(tmp_path, UNITARY_CFG)
+    for task, params in (("functor", ["kind=linear"]), ("functor", ["kind=unitary"]),
+                         ("axioms", ["which=additivity"])):
+        for value in ("No", "maybe", ""):
+            assert cli.main([task, "--config", path, *params, f"algebra={value}"]) == 1
+            assert capsys.readouterr().out == \
+                f'CHECK {task} ERROR detail="algebra must be yes or no, got {value!r}"\n'
+        for value in ("yes", "no"):
+            assert cli.main([task, "--config", path, *params, f"algebra={value}"]) == 0
+            assert capsys.readouterr().out.startswith(f"CHECK {task} PASS")
+    # a config task carries its line
+    path = write(tmp_path, UNITARY_CFG.replace("task = h90-all",
+                                               "task = functor kind=linear algebra=No"))
+    assert cli.main(["run", "--config", path]) == 1
+    assert 'CHECK functor ERROR detail="line 17: algebra must be yes or no, got \'No\'"' \
+        in capsys.readouterr().out
+
+
+def test_np_witness_seed_must_be_nonnegative(tmp_path, capsys):
+    path = write(tmp_path, UNITARY_CFG)
+    a = "a=1:0,0:0,0:0,1:0"
+    assert cli.main(["np-witness", "--config", path, a, "seed=-5"]) == 1
+    assert capsys.readouterr().out == \
+        'CHECK np-witness ERROR detail="seed must be nonnegative"\n'
+    assert cli.main(["np-witness", "--config", path, a, "seed=0"]) == 0
+    assert capsys.readouterr().out.startswith("CHECK np-witness PASS")
+    path = write(tmp_path, UNITARY_CFG.replace("task = h90-all",
+                                               f"task = np-witness {a} seed=-5"))
+    assert cli.main(["run", "--config", path]) == 1
+    assert 'CHECK np-witness ERROR detail="line 17: seed must be nonnegative"' \
+        in capsys.readouterr().out
+
+
 Z9_DEGREE_ONE_CFG = """\
 [ring]
 kind = zmod

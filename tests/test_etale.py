@@ -8,7 +8,7 @@ from ring_laws import check_enumeration, check_laws, elements
 from azunorm import presets
 from azunorm.etale import QuadraticEtale
 from azunorm.rings import (TABLE_MAX, ExactAlgebraError, NonUnitError, PolyQuotient,
-                           PrimeField, ShapeError, Zmod)
+                           PrimeField, Ring, ShapeError, Zmod)
 from azunorm.transfers import etale_extension
 
 F3 = PrimeField(3)
@@ -200,10 +200,10 @@ def test_tables_match_the_generic_arithmetic(name):
             c.mul_p(a, b)
     assert len(c._neg_t) == len(c._add_t) == len(c._mul_t) == c.size
     for a in elems:
-        assert c._neg_t[a] == c.generic_neg_p(a)
+        assert c._neg_t[a] == Ring.neg_p(c, a)
         assert len(c._add_t[a]) == len(c._mul_t[a]) == c.size
         for b in elems:
-            assert c._add_t[a][b] == c.generic_add_p(a, b)
+            assert c._add_t[a][b] == Ring.add_p(c, a, b)
             assert c._mul_t[a][b] == c.generic_mul_p(a, b)
 
 

@@ -135,6 +135,30 @@ def test_witness_checks_its_input_once(monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("h", presets.H_NAMES)
+def test_inclusion_check_tests_each_unitary_once(monkeypatch, h):
+    # enumerate_unitary tests each element; the witnesses do not test it again
+    aw = presets.unitary_m2_f3i(h)
+    calls = []
+    is_unitary_p = AlgebraWithInvolution.is_unitary_p
+
+    def counted(self, p):
+        calls.append(p)
+        return is_unitary_p(self, p)
+    monkeypatch.setattr(AlgebraWithInvolution, "is_unitary_p", counted)
+    rep = inclusion_check(aw)
+    assert rep.ok and rep.total == rep.verified == 96
+    assert len(calls) == len(set(calls)) == 96
+
+
+def test_public_entry_points_still_check_their_input():
+    aw, _ = diag_generators()
+    bad = aw.embed_center(aw.center_ring.one + aw.center_ring.sqrt_gen)
+    for entry in (find_lambda, h90_witness):
+        with pytest.raises(ClassificationError, match="^element is not norm-one unitary$"):
+            entry(aw, bad)
+
+
 def test_first_kind_involution_rejected():
     from azunorm.algebras import AlgebraWithInvolution, transpose_involution
     from azunorm.rings import PrimeField

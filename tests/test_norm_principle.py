@@ -3,6 +3,7 @@ invertible-corner domain, direct and factored witnesses, and the
 brute-force set comparison they are checked against."""
 
 import hashlib
+import itertools
 import random
 from functools import cached_property
 
@@ -214,6 +215,41 @@ def test_minus_map_stacks_the_fixed_coordinates_of_minus_products(name):
         assert sp.basis_inverse.apply(coords) == dense_apply(sp.basis_inverse, coords)
         assert [got[j * r:(j + 1) * r] for j in range(m)] == \
             [sp.to_fixed(alg.mul_p(a, b)) for b in sp.basis_minus]
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_STRIDES))
+def test_split_coordinates_are_explicit_combinations(name):
+    # from_minus_coords and from_plus_coords against sum c_k * b_k, on every
+    # coordinate vector; the minus one is also sqrt_b times the plus one
+    aw = _shipped_unitary(name)
+    sp = pm_split(aw)
+    alg = aw.algebra
+    base = alg.base
+
+    def combination(coords, basis):
+        acc = alg.zero_p()
+        for c, b in zip(coords, basis):
+            acc = alg.add_p(acc, alg.scale_base_p(b, c))
+        return acc
+
+    zeros = [base.zero_p()] * sp.m
+    for combo in itertools.product(list(base.elements_p()), repeat=sp.m):
+        minus = sp.from_minus_coords(combo)
+        plus = sp.from_plus_coords(combo)
+        assert minus == combination(combo, sp.basis_minus)
+        assert plus == combination(combo, sp.basis_plus)
+        assert minus == alg.mul_p(sp.sqrt_b, plus)
+        assert sp.to_fixed(minus) == list(combo) + zeros
+        assert sp.to_fixed(plus) == zeros + list(combo)
+    if sp.m == 1:
+        # the degree-one corner is empty: every record's companion is basis_minus[0]
+        records = [norm_principle._omega(sp, p) for p in alg.elements_p()]
+        records = [rec for rec in records if rec is not None]
+        assert records
+        for v, av, r, u in records:
+            assert v == sp.basis_minus[0]
+            assert u == combination(sp.to_fixed(av)[:1], sp.basis_minus)
+            assert alg.add_p(alg.scale_base_p(alg.one_p(), r), u) == av
 
 
 def test_omega_on_a_unit_multiplies_once(monkeypatch):

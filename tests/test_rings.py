@@ -6,14 +6,15 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from ring_laws import check_enumeration, check_laws, dense_apply, elements
+from ring_laws import (check_enumeration, check_laws, dense_apply, dense_product,
+                       elements)
 
 from azunorm import presets
 from azunorm.algebras import MatrixAlgebra, scalar_extension
 from azunorm.rings import (CACHE_MAX, NonUnitError, NoRootError, Poly, PolyQuotient,
-                           PolyRing, PrimeField, ProductRing, RingMatrix,
-                           ShapeError, Zmod, enumerate_units, nth_root_monic,
-                           nullspace, row_reduce, solve_field)
+                           PolyRing, PrimeField, ProductRing, Ring, RingMatrix,
+                           ShapeError, Zmod, enumerate_units, matmul_cells,
+                           nth_root_monic, nullspace, row_reduce, solve_field)
 from azunorm.transfers import etale_extension
 
 Z9 = Zmod(9)
@@ -358,3 +359,80 @@ def test_sparse_apply_matches_the_dense_product():
                 m.apply([zero] * (ncols + 1))
             with pytest.raises(ShapeError):
                 m.apply([zero] * (ncols - 1))
+
+
+# -- the one slot-wise sum and negation, and the one matrix product ---------------
+
+SLOT_RINGS = [(n, lambda n=n: presets.etale_preset(n)) for n in presets.ETALE_NAMES] + [
+    ("f9", presets.f9),
+    ("product", lambda: ProductRing([F3, presets.etale_preset("f3i"), Z9])),
+    ("m2-f3i", lambda: presets.unitary_m2_f3i().algebra),
+    ("m3-f3", lambda: presets.matrix_preset(3, 3)),
+] + [(f"quat-f{p}", lambda p=p: presets.quaternion_preset(p)[0]) for p in (3, 5, 7)]
+
+
+def _slot_rings(ring):
+    """The ring of each payload slot, read off the ring's own structure."""
+    if isinstance(ring, ProductRing):
+        return ring.factors
+    if isinstance(ring, PolyQuotient):
+        return [ring.base] * ring.deg
+    if isinstance(ring, MatrixAlgebra):
+        return [ring.center] * (ring.n * ring.n)
+    return [ring.base] * ring.rank
+
+
+@pytest.mark.parametrize("name,build", SLOT_RINGS, ids=[n for n, _ in SLOT_RINGS])
+def test_slotwise_ops_match_a_per_slot_loop(name, build):
+    # every pair of a ring of at most 81 elements, else 400 seeded pairs; a
+    # tabled tower answers from its tables, filled by Ring.add_p and Ring.neg_p
+    ring = build()
+    slots = _slot_rings(ring)
+    rng = random.Random(name)
+    if ring.size <= 81:
+        pairs = list(itertools.product(list(ring.elements_p()), repeat=2))
+    else:
+        codes = [rng.randrange(ring.size) for _ in range(800)]
+        pairs = [(ring.decode(a), ring.decode(b)) for a, b in zip(codes[::2], codes[1::2])]
+    for a, b in pairs:
+        total, neg = [], []
+        for k, slot in enumerate(slots):
+            total.append(slot.add_p(a[k], b[k]))
+            neg.append(slot.neg_p(a[k]))
+        assert ring.add_p(a, b) == Ring.add_p(ring, a, b) == tuple(total)
+        assert ring.neg_p(a) == Ring.neg_p(ring, a) == tuple(neg)
+    if not isinstance(ring, PolyQuotient):
+        assert type(ring).add_p is Ring.add_p and type(ring).neg_p is Ring.neg_p
+
+
+def test_matrix_product_matches_the_dense_product():
+    # random rectangular shapes over a non-field and a field, with zero rows
+    # in both factors and scattered zero cells
+    rng = random.Random(20261021)
+    f3i = presets.etale_preset("f3i")
+    for ring in (Z9, f3i):
+        zero = ring.zero_p()
+
+        def rand(nrows, ncols):
+            dead = {i for i in range(nrows) if rng.random() < 0.3}
+            return RingMatrix(ring, nrows, ncols, [
+                zero if i in dead or rng.random() < 0.4
+                else ring.decode(rng.randrange(ring.size))
+                for i in range(nrows) for _ in range(ncols)])
+
+        for _ in range(200):
+            rows, inner, cols = (rng.randint(1, 6) for _ in range(3))
+            a, b = rand(rows, inner), rand(inner, cols)
+            want = dense_product(a, b)
+            prod = a * b
+            assert (prod.nrows, prod.ncols) == (rows, cols)
+            assert list(prod.cells) == want
+            assert matmul_cells(ring, a.cells, b.cells, rows, inner, cols) == want
+        with pytest.raises(ShapeError):
+            rand(2, 3) * rand(2, 3)
+    # MatrixAlgebra.mul_p is the same product on square payloads
+    for alg in (MatrixAlgebra(f3i, 2), MatrixAlgebra(F3, 3)):
+        for _ in range(200):
+            a, b = (alg.decode(rng.randrange(alg.size)) for _ in range(2))
+            want = dense_product(alg.as_matrix_p(a), alg.as_matrix_p(b))
+            assert alg.mul_p(a, b) == tuple(want)
