@@ -20,8 +20,7 @@ from .algebras import (Algebra, AlgebraElem, AlgebraWithInvolution,
                        hermitian_involution, nrd, nrd_data,
                        quaternion_conjugation, quaternion_table, rebase_table,
                        reduced_char_poly, reduced_char_poly_data,
-                       scalar_extension, table_involution, to_table,
-                       transpose_involution)
+                       scalar_extension, to_table, transpose_involution)
 from .groups import (FiniteAbelianPresentation, enumerate_special,
                      enumerate_unitary, functor_linear, functor_unitary,
                      nrd_image, nrd_unit_image)
@@ -59,6 +58,6 @@ __all__ = [
     "open_set_member", "pm_split", "quaternion_conjugation",
     "quaternion_table", "rebase_table", "reduced_char_poly",
     "reduced_char_poly_data", "row_reduce", "scalar_extension",
-    "solve_field", "table_involution", "to_table", "transfer_on_functor",
+    "solve_field", "to_table", "transfer_on_functor",
     "transpose_involution",
 ]

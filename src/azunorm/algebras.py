@@ -406,10 +406,6 @@ def transpose_involution(algebra: MatrixAlgebra) -> Involution:
     return adjoint_involution(algebra, RingMatrix.identity(algebra.center, algebra.n))
 
 
-def table_involution(algebra: TableAlgebra, matrix: RingMatrix) -> Involution:
-    return Involution(algebra, matrix=matrix)
-
-
 def center_basis(algebra: Algebra):
     """Free base-module basis of the center, as payloads.
 
@@ -778,19 +774,12 @@ def extend_awi(awi: AlgebraWithInvolution, ext) -> tuple:
 
 # -- quaternions ---------------------------------------------------------------
 
-def quaternion_table(base: Ring, a, b) -> TableAlgebra:
+def quaternion_table(base: Ring, a: int, b: int) -> TableAlgebra:
     """The quaternion algebra (a, b) over the base as a structure table.
 
     Basis 1, i, j, k with i^2 = a, j^2 = b, ij = k = -ji.
     """
-    if isinstance(a, int):
-        a = base.int_p(a)
-    elif isinstance(a, RingElem):
-        a = a.payload
-    if isinstance(b, int):
-        b = base.int_p(b)
-    elif isinstance(b, RingElem):
-        b = b.payload
+    a, b = base.int_p(a), base.int_p(b)
     if not (base.is_unit_p(a) and base.is_unit_p(b)):
         raise NonUnitError("quaternion parameters must be units")
     z, o = base.zero_p(), base.one_p()

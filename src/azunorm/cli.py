@@ -44,10 +44,17 @@ _SECTION_KEYS = {
     "run": {"seed", "report-path"},
 }
 
-# every config stays within reach of a sweep or a frame search: trial-division
-# primality below MODULUS_BOUND, and a split degree of at most DEGREE_MAX
+# the bounds keep trial-division primality fast and the split degree at most
+# DEGREE_MAX; they do not keep sweeps small, which visit |C|^(n^2) elements
 MODULUS_BOUND = 2 ** 16
 DEGREE_MAX = 4
+
+# what each `axioms which=...` reads; any other parameter is refused
+_AXIOM_PARAMS = {
+    "norm-inclusion": {"ext"},
+    "additivity": {"d", "ext", "algebra"},
+    "base-change": {"poly", "samples"},
+}
 
 _TASK_PARAMS = {
     "verify-azumaya": set(),
@@ -59,7 +66,7 @@ _TASK_PARAMS = {
     "np-bruteforce": set(),
     "groups": {"which"},
     "functor": {"kind", "d", "ext", "algebra"},
-    "axioms": {"which", "ext", "d", "samples", "poly", "algebra"},
+    "axioms": {"which"}.union(*_AXIOM_PARAMS.values()),
     "survey": {"d"},
 }
 
@@ -175,19 +182,14 @@ def _parse_matrix(center, n: int, literal: str, lineno: int) -> RingMatrix:
                    for t in literal[5:-1].split(",")]
         if len(entries) != n:
             _fail(lineno, f"diag needs {n} entries, got {len(entries)}")
-        rows = [[center.elem(entries[i]) if i == j else center.zero
-                 for j in range(n)] for i in range(n)]
-        return RingMatrix.from_rows(center, rows)
-    if ";" in literal:
-        rows_txt = [r for r in literal.split(";")]
-        entries = [t for r in rows_txt for t in r.split(",")]
-    else:
-        entries = literal.split(",")
+        zero = center.zero_p()
+        return RingMatrix(center, n, n, [entries[i] if i == j else zero
+                                         for i in range(n) for j in range(n)])
+    # rows separated by `;` are the flat row-major list with a second separator
+    entries = literal.replace(";", ",").split(",")
     if len(entries) != n * n:
         _fail(lineno, f"matrix needs {n * n} entries, got {len(entries)}")
-    vals = [_center_entry(center, t, lineno) for t in entries]
-    rows = [[center.elem(vals[i * n + j]) for j in range(n)] for i in range(n)]
-    return RingMatrix.from_rows(center, rows)
+    return RingMatrix(center, n, n, [_center_entry(center, t, lineno) for t in entries])
 
 
 def _build_algebra(cfg: ExperimentConfig, sec):
@@ -488,7 +490,8 @@ def run_task(name: str, params: dict, cfg: ExperimentConfig, seed: int,
                     raise ConfigError("group U needs an involution")
                 metrics["U"] = len(unitary)
             elif w in ("SU", "SO", "SL"):
-                target = cfg.awi if cfg.awi is not None else _need_algebra(cfg)
+                target = (_need_algebra(cfg) if cfg.awi is None or w == "SL"
+                          else cfg.awi)
                 metrics[w] = len(enumerate_special(target, w, unitary))
             else:
                 raise ConfigError(f"unknown group {w!r}")
@@ -517,6 +520,9 @@ def run_task(name: str, params: dict, cfg: ExperimentConfig, seed: int,
 
     if name == "axioms":
         which = params.get("which")
+        extra = sorted(set(params) - {"which"} - _AXIOM_PARAMS.get(which, set()))
+        if which in _AXIOM_PARAMS and extra:
+            _fail(lineno, f"unknown parameter {extra[0]!r} for axioms which={which}")
         if which == "norm-inclusion":
             alg = _need_algebra(cfg)
             ext = _extension_for(cfg, params.get("ext", "etale"))

@@ -78,7 +78,7 @@ def _frames_p(alg: MatrixAlgebra, gram, conj):
 def enumerate_special(a, which: str, unitary=None):
     """Norm-one subgroups: 'SL' (nrd = 1), 'SU'/'SO' (unitary and nrd = 1).
 
-    'SL' accepts a bare algebra and sweeps it; the unitary flavours need an
+    'SL' takes a bare algebra and sweeps it; the unitary flavours need an
     involution and filter its unitary group: the list enumerate_unitary(a)
     returned when the caller passes it as unitary, else a fresh enumeration.
     """
@@ -91,26 +91,22 @@ def enumerate_special(a, which: str, unitary=None):
         if unitary is None:
             unitary = enumerate_unitary(a)
         return [u for u in unitary if a.nrd_p(u.payload) == one_c]
-    alg = a.algebra if isinstance(a, AlgebraWithInvolution) else a
-    one_c = alg.cdata.ring.one_p()
-    return [AlgebraElem(alg, p) for p in alg.elements_p()
-            if alg.is_unit_p(p) and algebra_nrd(alg, p).payload == one_c]
+    one_c = a.cdata.ring.one_p()
+    return [AlgebraElem(a, p) for p in a.elements_p()
+            if a.is_unit_p(p) and algebra_nrd(a, p).payload == one_c]
 
 
-def nrd_image(s, awi: AlgebraWithInvolution = None):
+def nrd_image(s):
     """{nrd(x) : x in s} as center elements, verified to be a subgroup.
 
     s must be multiplicatively closed; a value set that is not a subgroup
     (checked by _check_subgroup) is reported as an error rather than
-    silently accepted.  The norms are the algebra's own; a given awi is
-    only checked to own the elements.
+    silently accepted.
     """
     s = list(s)
     if not s:
         raise ExactAlgebraError("empty element set")
     alg = s[0].ring
-    if awi is not None and awi.algebra != alg:
-        raise ExactAlgebraError("elements do not belong to the given algebra")
     C = alg.cdata.ring
     vals = {algebra_nrd(alg, x.payload).payload for x in s}
     _check_subgroup(C, vals)
@@ -303,8 +299,8 @@ class FiniteAbelianPresentation:
 def functor_linear(algebra, ext, d: int) -> FiniteAbelianPresentation:
     """Units of the extended ring modulo reduced norms times d-th powers.
 
-    algebra may be a plain presentation, an AlgebraWithInvolution, or None;
-    None drops the norm subgroup entirely and yields the pure power quotient.
+    algebra is a plain presentation or None; None drops the norm subgroup
+    entirely and yields the pure power quotient.
     When the extended algebra's center is a quadratic etale extension of the
     extended ring, its reduced norms are pushed down by the etale norm.
     """
@@ -316,8 +312,7 @@ def functor_linear(algebra, ext, d: int) -> FiniteAbelianPresentation:
     if algebra is None:
         sub = powd
     else:
-        alg = algebra.algebra if isinstance(algebra, AlgebraWithInvolution) else algebra
-        alg_t, _ = scalar_extension(alg, ext)
+        alg_t, _ = scalar_extension(algebra, ext)
         nrdset = nrd_unit_image(alg_t)
         C = alg_t.cdata.ring
         if isinstance(C, QuadraticEtale) and C.base == T:

@@ -556,10 +556,6 @@ class Poly:
     def x(cls, ring):
         return cls(ring, [ring.zero_p(), ring.one_p()])
 
-    @classmethod
-    def constant(cls, elem: RingElem):
-        return cls(elem.ring, [elem.payload])
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -601,10 +597,6 @@ class Poly:
         if k < 0:
             raise ShapeError("negative polynomial power")
         return square_and_multiply(operator.mul, Poly(self.ring, [self.ring.one_p()]), self, k)
-
-    def scale(self, c: RingElem) -> "Poly":
-        r = self.ring
-        return Poly(r, [r.mul_p(c.payload, a) for a in self.coeffs])
 
     def evaluate(self, x: RingElem) -> RingElem:
         if x.ring != self.ring:
@@ -834,11 +826,6 @@ class PolyQuotient(Ring):
     def embed_p(self, b):
         """Payload of a base element as a constant."""
         return (b,) + (self._zero,) * (self.deg - 1)
-
-    def embed(self, e: RingElem) -> RingElem:
-        if e.ring != self.base:
-            raise ShapeError("not a base element")
-        return RingElem(self, self.embed_p(e.payload))
 
     def _signature(self):
         return ("poly-quot", self.base._signature(), self.modulus.coeffs)
@@ -1087,9 +1074,6 @@ class RingMatrix:
     def row(self, i):
         return list(self.cells[i * self.ncols:(i + 1) * self.ncols])
 
-    def col(self, j):
-        return [self.cells[i * self.ncols + j] for i in range(self.nrows)]
-
     def __add__(self, other):
         self._compat(other, same_shape=True)
         add = self.ring.add_p
@@ -1115,10 +1099,9 @@ class RingMatrix:
             self.ring, self.cells, other.cells, self.nrows, self.ncols, other.ncols))
 
     def scale(self, c) -> "RingMatrix":
-        p = c.payload if isinstance(c, RingElem) else c
         mul = self.ring.mul_p
         return RingMatrix(self.ring, self.nrows, self.ncols,
-                          [mul(p, a) for a in self.cells])
+                          [mul(c, a) for a in self.cells])
 
     def transpose(self) -> "RingMatrix":
         return RingMatrix(self.ring, self.ncols, self.nrows,

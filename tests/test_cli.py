@@ -451,6 +451,22 @@ def test_base_change_rejects_nonpositive_samples(tmp_path, capsys):
         assert out.startswith('CHECK axioms ERROR detail="samples must be at least 1')
 
 
+@pytest.mark.parametrize("which, unread, first", [
+    ("norm-inclusion", ["algebra=no", "d=7", "samples=0", "poly=bogus"], "algebra"),
+    ("additivity", ["samples=2", "poly=x2-1"], "poly"),
+    ("base-change", ["samples=2", "ext=bogus", "d=x", "algebra=maybe"], "algebra"),
+])
+def test_axioms_refuses_parameters_its_variant_does_not_read(tmp_path, capsys, which,
+                                                            unread, first):
+    path = write(tmp_path, UNITARY_CFG)
+    args = [a for a in unread if a.split("=")[0] in cli._AXIOM_PARAMS[which]]
+    assert cli.main(["axioms", "--config", path, f"which={which}", *args]) == 0
+    assert capsys.readouterr().out.startswith("CHECK axioms PASS")
+    assert cli.main(["axioms", "--config", path, f"which={which}", *unread]) == 1
+    assert capsys.readouterr().out == (
+        f'CHECK axioms ERROR detail="unknown parameter {first!r} for axioms which={which}"\n')
+
+
 def test_algebra_parameter_is_yes_or_no(tmp_path, capsys):
     path = write(tmp_path, UNITARY_CFG)
     for task, params in (("functor", ["kind=linear"]), ("functor", ["kind=unitary"]),

@@ -278,6 +278,43 @@ def test_poly_quotient_field_detection():
     assert not dual.is_field
 
 
+@pytest.mark.parametrize("ints, field", [
+    ([2, 1, 0, 0, 1], True),        # x^4 + x + 2
+    ([1, 0, 2, 0, 1], False),       # (x^2 + 1)^2: no root, a quadratic factor
+    ([1, 1, 0, 0, 1], False),       # x^4 + x + 1: root at 1
+    ([2, 2, 0, 0, 0, 1], True),     # x^5 + 2x + 2
+    ([1, 0, 0, 0, 0, 1], False),    # x^5 + 1: root at 2
+])
+def test_trial_factor_field_test_matches_every_unit(ints, field):
+    # degree 4 and up: trial division by monic factors of degree <= deg/2,
+    # against "every nonzero element has a unit determinant"
+    q = PolyQuotient(F3, Poly.from_ints(F3, ints))
+    assert q.is_field == field
+    assert all(q.decide_unit_p(p) for p in q.elements_p() if p != q.zero_p()) == field
+
+
+def test_trial_factor_field_test_gives_up_on_large_bases(monkeypatch):
+    # x^4 + x + 6 is irreducible over F151, but 151^2 > 20000 trial factors:
+    # the test answers False without dividing once
+    def no_division(self, m):
+        raise AssertionError("trial division ran")
+    monkeypatch.setattr(Poly, "divmod_monic", no_division)
+    f151 = PrimeField(151)
+    assert not PolyQuotient(f151, Poly.from_ints(f151, [6, 1, 0, 0, 1])).is_field
+
+
+@pytest.mark.parametrize("ring", [F5, Z9], ids=["F5", "Z9"])
+def test_divmod_monic_divides(ring):
+    rng = random.Random(13)
+    for _ in range(200):
+        p = Poly.from_ints(ring, [rng.randrange(ring.size) for _ in range(rng.randint(0, 7))])
+        m = Poly.from_ints(ring, [rng.randrange(ring.size) for _ in range(rng.randint(0, 4))]
+                           + [1])
+        q, r = p.divmod_monic(m)
+        assert q * m + r == p
+        assert r.degree < m.degree
+
+
 def test_caches_stay_empty_above_their_bound():
     big = PolyQuotient(F3, Poly.from_ints(F3, [1, 1] + [0] * 8 + [1]))
     assert big.size == 3 ** 10 > CACHE_MAX

@@ -7,12 +7,14 @@ import random
 import pytest
 
 from azunorm import presets
+from azunorm.groups import FiniteAbelianPresentation
 from azunorm.rings import (ClassificationError, ExactAlgebraError, NonUnitError,
                            PrimeField, ShapeError, Zmod)
 from azunorm.transfers import (FiniteFreeExtension, PolyExtension,
-                               additivity_check, base_change_check,
-                               center_extension, etale_extension,
-                               norm_inclusion_check, transfer_on_functor)
+                               _coset_map_checks, additivity_check,
+                               base_change_check, center_extension,
+                               etale_extension, norm_inclusion_check,
+                               transfer_on_functor)
 
 
 def test_identity_extension_norm_is_identity():
@@ -165,6 +167,40 @@ def test_unitary_transfer_on_center():
     rep = transfer_on_functor("unitary", c, etale_extension(c), 2)
     assert rep.well_defined and rep.hom_ok and rep.sigma_compat
     assert (rep.source_order, rep.target_order) == (2, 2)
+
+
+def test_coset_map_that_splits_a_coset_is_not_well_defined():
+    f5 = PrimeField(5)
+    units = list(f5.units_p())
+    source = FiniteAbelianPresentation(f5, units, [f5.one_p(), f5.int_p(-1)])
+    target = FiniteAbelianPresentation(f5, units)
+    # the identity sends the coset {1, -1} to two target classes
+    mapping, well, hom_ok, bad = _coset_map_checks(source, target, lambda p: p)
+    assert not well
+    assert bad == [rep for rep, _ in source.cosets]
+    assert mapping == {}
+
+
+def test_coset_map_that_is_not_multiplicative_fails_hom():
+    f5 = PrimeField(5)
+    units = FiniteAbelianPresentation(f5, list(f5.units_p()))
+    # constant 2: well defined on singleton cosets, but 2 * 2 != 2
+    mapping, well, hom_ok, bad = _coset_map_checks(units, units, lambda p: f5.int_p(2))
+    assert well and not hom_ok
+    assert set(mapping.values()) == {f5.int_p(2)}
+    assert len(bad) == units.order ** 2
+
+
+def test_unitary_transfer_detects_a_push_that_moves_sigma(monkeypatch):
+    c = presets.etale_preset("f3i")
+    i = c.sqrt_gen.payload
+    assert c.sigma_p(i) != i and c.mul_p(i, c.sigma_p(i)) == c.one_p()
+    norm_p = FiniteFreeExtension.norm_p
+    # N(x) * i is still norm one, but sigma(N(x) * i) = sigma(N(x)) * (-i)
+    monkeypatch.setattr(FiniteFreeExtension, "norm_p",
+                        lambda self, t: c.mul_p(norm_p(self, t), i))
+    rep = transfer_on_functor("unitary", c, etale_extension(c), 2)
+    assert not rep.sigma_compat
 
 
 def test_unitary_transfer_rejects_first_kind():
