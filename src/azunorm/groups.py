@@ -8,7 +8,6 @@ engine: everything here is enumeration over small finite rings.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
 
 from .algebras import (Algebra, AlgebraElem, AlgebraWithInvolution,
                        MatrixAlgebra, extend_awi, nrd_data as algebra_nrd,
@@ -219,6 +218,8 @@ class FiniteAbelianPresentation:
         return self.rep(self.ring.mul_p(a, b))
 
     def pow(self, a, k: int):
+        if k < 0:
+            a, k = self.inverse_rep(a), -k
         return square_and_multiply(self.op, self.identity, self.rep(a), k)
 
     def inverse_rep(self, a):
@@ -231,10 +232,6 @@ class FiniteAbelianPresentation:
     @property
     def elementary_divisors(self):
         """Invariant factors d_1 | d_2 | ... with product equal to the order."""
-        return self._divisors
-
-    @cached_property
-    def _divisors(self):
         n = self.order
         if n == 1:
             return []

@@ -3,7 +3,7 @@
 One place that builds the etale extensions, algebras with involution,
 ring extensions and polynomial-ring extensions exercised by the test
 suite and by the command line survey.  Each call builds a fresh object;
-the caches live on the objects themselves (unit lists, circles, centers).
+the caches live on the objects themselves (tables, circles, centers).
 """
 
 from __future__ import annotations
@@ -26,30 +26,28 @@ def f9():
     return PolyQuotient(f3, Poly.from_ints(f3, [1, 0, 1]))
 
 
+# The etale, norm-pair, additivity and polynomial-extension families are each
+# one table from name to what differs, named by tuple(table) in table order.
+# Builders in the tables call this module's functions by name, so a rebound
+# function is the one that runs.
+
 # -- quadratic etale extensions ------------------------------------------------
 
-# name -> (base builder, defining scalar); s = 1 is the split case
-ETALE_NAMES = ("f3i", "f3split", "f5sqrt2", "f5split", "f7sqrt3",
-               "z9sqrt2", "f9gen")
+# name -> (base builder, defining scalar s); s = 1 is the split case, and
+# f9gen's s is the payload 1 + i of F9
+_ETALE = {"f3i": (lambda: base_field(3), -1),
+          "f3split": (lambda: base_field(3), 1),
+          "f5sqrt2": (lambda: base_field(5), 2),
+          "f5split": (lambda: base_field(5), 1),
+          "f7sqrt3": (lambda: base_field(7), 3),
+          "z9sqrt2": (lambda: Zmod(9), 2),
+          "f9gen": (lambda: f9(), (1, 1))}
+ETALE_NAMES = tuple(_ETALE)
 
 
 def etale_preset(name: str) -> QuadraticEtale:
-    if name == "f3i":
-        return QuadraticEtale(base_field(3), -1)
-    if name == "f3split":
-        return QuadraticEtale(base_field(3), 1)
-    if name == "f5sqrt2":
-        return QuadraticEtale(base_field(5), 2)
-    if name == "f5split":
-        return QuadraticEtale(base_field(5), 1)
-    if name == "f7sqrt3":
-        return QuadraticEtale(base_field(7), 3)
-    if name == "z9sqrt2":
-        return QuadraticEtale(Zmod(9), 2)
-    if name == "f9gen":
-        nine = f9()
-        return QuadraticEtale(nine, nine.elem((1, 1)))
-    raise KeyError(f"unknown etale preset {name!r}")
+    build, s = _ETALE[name]
+    return QuadraticEtale(build(), s)
 
 
 def etale_family():
@@ -117,58 +115,51 @@ def dual_numbers(p: int = 3) -> TableAlgebra:
 
 # -- ring extensions and norm-inclusion pairs ----------------------------------
 
-NORM_PAIR_NAMES = ("m2f3-f9", "m2f3-split", "m2f5-f25", "quatf3-f9")
-
-
 def quaternion_f3():
     return quaternion_table(base_field(3), -1, -1)
 
 
+# name -> (algebra builder, etale preset of the extension)
+_NORM_PAIRS = {"m2f3-f9": (lambda: matrix_preset(3, 2), "f3i"),
+               "m2f3-split": (lambda: matrix_preset(3, 2), "f3split"),
+               "m2f5-f25": (lambda: matrix_preset(5, 2), "f5sqrt2"),
+               "quatf3-f9": (lambda: quaternion_f3(), "f3i")}
+NORM_PAIR_NAMES = tuple(_NORM_PAIRS)
+
+
 def norm_pair(name: str):
     """A shipped (algebra, extension) pair for the norm-inclusion check."""
-    if name == "m2f3-f9":
-        return matrix_preset(3, 2), etale_extension(etale_preset("f3i"))
-    if name == "m2f3-split":
-        return matrix_preset(3, 2), etale_extension(etale_preset("f3split"))
-    if name == "m2f5-f25":
-        return matrix_preset(5, 2), etale_extension(etale_preset("f5sqrt2"))
-    if name == "quatf3-f9":
-        return quaternion_f3(), etale_extension(etale_preset("f3i"))
-    raise KeyError(f"unknown norm pair {name!r}")
+    build, etale = _NORM_PAIRS[name]
+    return build(), etale_extension(etale_preset(etale))
 
 
 def norm_pairs():
     return [(n,) + norm_pair(n) for n in NORM_PAIR_NAMES]
 
 
-ADDITIVITY_NAMES = ("powers-f3", "powers-f5", "m2-f3", "m2-f5")
+# name -> (p, whether the algebra is M2(F_p), etale preset of the right
+# extension, d); the left extension is the identity of F_p
+_ADDITIVITY = {"powers-f3": (3, False, "f3i", 2),
+               "powers-f5": (5, False, "f5sqrt2", 2),
+               "m2-f3": (3, True, "f3i", 1),
+               "m2-f5": (5, True, "f5sqrt2", 1)}
+ADDITIVITY_NAMES = tuple(_ADDITIVITY)
 
 
 def additivity_case(name: str):
     """(algebra or None, left extension, right extension, d)."""
-    if name == "powers-f3":
-        return (None, FiniteFreeExtension.identity(base_field(3)),
-                etale_extension(etale_preset("f3i")), 2)
-    if name == "powers-f5":
-        return (None, FiniteFreeExtension.identity(base_field(5)),
-                etale_extension(etale_preset("f5sqrt2")), 2)
-    if name == "m2-f3":
-        return (matrix_preset(3, 2), FiniteFreeExtension.identity(base_field(3)),
-                etale_extension(etale_preset("f3i")), 1)
-    if name == "m2-f5":
-        return (matrix_preset(5, 2), FiniteFreeExtension.identity(base_field(5)),
-                etale_extension(etale_preset("f5sqrt2")), 1)
-    raise KeyError(f"unknown additivity case {name!r}")
+    p, m2, etale, d = _ADDITIVITY[name]
+    return (matrix_preset(p, 2) if m2 else None,
+            FiniteFreeExtension.identity(base_field(p)),
+            etale_extension(etale_preset(etale)), d)
 
 
-POLY_EXTENSION_NAMES = ("x2-1", "x2-tx-1")
+# name -> ascending x-coefficients, each a tuple of t-coefficients
+_POLY_EXTENSIONS = {"x2-1": ((-1,), (), (1,)),
+                    "x2-tx-1": ((-1,), (0, -1), (1,))}
+POLY_EXTENSION_NAMES = tuple(_POLY_EXTENSIONS)
 
 
 def poly_extension_preset(name: str) -> PolyExtension:
     """Rank-2 extensions of F_5[t], one with a t-dependent modulus."""
-    f5 = base_field(5)
-    if name == "x2-1":
-        return PolyExtension(f5, [[-1], [], [1]])
-    if name == "x2-tx-1":
-        return PolyExtension(f5, [[-1], [0, -1], [1]])
-    raise KeyError(f"unknown polynomial extension {name!r}")
+    return PolyExtension(base_field(5), _POLY_EXTENSIONS[name])

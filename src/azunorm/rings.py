@@ -88,6 +88,8 @@ def _is_prime(n: int) -> bool:
 
 def square_and_multiply(mul, one, a, k: int):
     """a^k for k >= 0 under the associative product mul with identity one."""
+    if k < 0:
+        raise ShapeError(f"negative power {k}")
     out = one
     while k:
         if k & 1:
@@ -223,11 +225,8 @@ class Ring:
         return RingElem(self, self.int_p(k))
 
     def units_p(self):
-        """Payloads of all units, in canonical order (cached)."""
-        got = getattr(self, "_unit_payloads", None)
-        if got is None:
-            got = self._unit_payloads = [p for p in self.elements_p() if self.is_unit_p(p)]
-        return list(got)
+        """Payloads of all units, in canonical order."""
+        return [p for p in self.elements_p() if self.is_unit_p(p)]
 
     def units(self):
         """All units, in canonical order."""
@@ -263,11 +262,7 @@ class Ring:
         return isinstance(other, Ring) and self._signature() == other._signature()
 
     def __hash__(self):
-        h = getattr(self, "_sig_hash", None)
-        if h is None:
-            h = hash(self._signature())
-            self._sig_hash = h
-        return h
+        return hash(self._signature())
 
 
 def _part_count(size: int) -> int:
@@ -346,12 +341,11 @@ def _part_worker(part, lo, hi, send_end):
 class RingElem:
     """An element of a Ring; thin immutable wrapper around a payload."""
 
-    __slots__ = ("ring", "payload", "_hash")
+    __slots__ = ("ring", "payload")
 
     def __init__(self, ring: Ring, payload):
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "payload", payload)
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, *a):
         raise AttributeError("RingElem is immutable")
@@ -416,11 +410,7 @@ class RingElem:
         return self.payload == other.payload and self.ring == other.ring
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((hash(self.ring), self.payload))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((hash(self.ring), self.payload))
 
     def __repr__(self):
         return f"{self.ring.show(self.payload)}"
@@ -552,10 +542,6 @@ class Poly:
     def from_ints(cls, ring, ints):
         return cls(ring, [ring.int_p(k) for k in ints])
 
-    @classmethod
-    def x(cls, ring):
-        return cls(ring, [ring.zero_p(), ring.one_p()])
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -594,8 +580,6 @@ class Poly:
         return Poly(self.ring, _coeffs_mul(self.ring, self.coeffs, other.coeffs))
 
     def __pow__(self, k: int):
-        if k < 0:
-            raise ShapeError("negative polynomial power")
         return square_and_multiply(operator.mul, Poly(self.ring, [self.ring.one_p()]), self, k)
 
     def evaluate(self, x: RingElem) -> RingElem:

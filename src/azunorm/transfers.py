@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .algebras import Algebra, scalar_extension
 from .etale import QuadraticEtale
@@ -93,7 +92,7 @@ class FiniteFreeExtension:
                 if tuple(coords_p(self.total.mul_p(self.embed_p(g), b))) != want:
                     raise ExactAlgebraError("coordinates do not invert the basis")
 
-    @cached_property
+    @property
     def _table(self):
         """Coordinates by summing every combination: the oracle for coords_p."""
         base, tot = self.base, self.total
@@ -255,7 +254,7 @@ def _coset_map_checks(source: FiniteAbelianPresentation,
             bad.append(rep)
             continue
         mapping[rep] = images.pop()
-    hom_ok = True
+    hom_ok = well
     if well:
         for r1, _ in source.cosets:
             for r2, _ in source.cosets:

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from order_oracles import sl_order
 
 from azunorm import cli, presets
 from azunorm.algebras import TableAlgebra
@@ -499,6 +500,47 @@ def test_np_witness_seed_must_be_nonnegative(tmp_path, capsys):
     assert cli.main(["run", "--config", path]) == 1
     assert 'CHECK np-witness ERROR detail="line 17: seed must be nonnegative"' \
         in capsys.readouterr().out
+
+
+def test_np_witness_record_on_the_random_route_carries_its_seed(tmp_path, capsys):
+    path = write(tmp_path, UNITARY_CFG)
+    report = tmp_path / "r.jsonl"
+    assert cli.main(["np-witness", "--config", path, "--report", str(report),
+                     "a=0:0,2:0,1:0,0:0", "seed=3"]) == 0
+    assert capsys.readouterr().out == "CHECK np-witness PASS direct=0 verified=1\n"
+    assert report.read_text() == (
+        '{"task": "np-witness", "status": "PASS", "metrics": {"direct": 0, "verified": 1}, '
+        '"detail": "route = factored", "witness": '
+        '{"route": "factored", "w": "[[[x], [0]]; [[0], [2*x]]]", "seed": 3}}\n')
+
+
+ADJOINT_CFG = """\
+[ring]
+kind = prime
+modulus = 5
+
+[algebra]
+form = split
+degree = 2
+involution = adjoint
+g = 0,1;-1,0
+"""
+
+
+def test_adjoint_involution_of_an_alternating_form(tmp_path, capsys):
+    # on M2 the adjoint of an alternating form is symplectic: a * sigma(a) =
+    # det(a), so U is SL
+    path = write(tmp_path, ADJOINT_CFG)
+    assert cli.main(["groups", "--config", path, "which=U,SL"]) == 0
+    n = sl_order(2, 5)
+    assert capsys.readouterr().out == f"CHECK groups PASS SL={n} U={n}\n"
+
+
+def test_adjoint_involution_needs_g(tmp_path, capsys):
+    path = write(tmp_path, ADJOINT_CFG.replace("g = 0,1;-1,0\n", ""))
+    assert cli.main(["groups", "--config", path, "which=U"]) == 2
+    assert capsys.readouterr().err == \
+        "config error: line 8: adjoint involution needs `g`\n"
 
 
 Z9_DEGREE_ONE_CFG = """\

@@ -427,6 +427,15 @@ def test_divisors_do_not_depend_on_input_order():
     assert [r for r, _ in a.cosets] == [r for r, _ in b.cosets]
 
 
+def test_negative_powers_in_a_presentation_invert_first():
+    f5 = PrimeField(5)
+    units = list(f5.units_p())
+    pres = FiniteAbelianPresentation(f5, units)
+    for g in units:
+        assert pres.pow(g, -1) == pres.inverse_rep(g)
+        assert pres.pow(g, -3) == pres.inverse_rep(pres.pow(g, 3))
+
+
 def test_presentation_rejects_non_groups():
     z9 = Zmod(9)
     with pytest.raises(ExactAlgebraError):

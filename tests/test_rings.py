@@ -14,7 +14,8 @@ from azunorm.algebras import MatrixAlgebra, scalar_extension
 from azunorm.rings import (CACHE_MAX, NonUnitError, NoRootError, Poly, PolyQuotient,
                            PolyRing, PrimeField, ProductRing, Ring, RingMatrix,
                            ShapeError, Zmod, enumerate_units, matmul_cells,
-                           nth_root_monic, nullspace, row_reduce, solve_field)
+                           nth_root_monic, nullspace, row_reduce, solve_field,
+                           square_and_multiply)
 from azunorm.transfers import etale_extension
 
 Z9 = Zmod(9)
@@ -175,6 +176,12 @@ def test_powers_match_repeated_multiplication(name):
             for k in range(1, 4):
                 want = ring.mul_p(want, inv)
                 assert ring.pow_p(a, -k) == want
+
+
+def test_power_loop_refuses_negative_exponents():
+    # the loop halves k, which stays at -1 for every negative k
+    with pytest.raises(ShapeError):
+        square_and_multiply(lambda x, y: x * y, 1, 2, -1)
 
 
 def test_monic_root_rejects_non_powers():

@@ -177,6 +177,7 @@ def test_coset_map_that_splits_a_coset_is_not_well_defined():
     # the identity sends the coset {1, -1} to two target classes
     mapping, well, hom_ok, bad = _coset_map_checks(source, target, lambda p: p)
     assert not well
+    assert not hom_ok
     assert bad == [rep for rep, _ in source.cosets]
     assert mapping == {}
 
