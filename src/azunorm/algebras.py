@@ -578,6 +578,7 @@ class AlgebraWithInvolution:
         self.center_ring = self.cdata.ring
         self.degree = self.cdata.degree
         self.kind = self._classify()
+        self._unitary = None  # sorted unitary payloads, filled by groups.enumerate_unitary
 
     # -- involution action -------------------------------------------------
     def sigma_p(self, payload):

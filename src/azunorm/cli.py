@@ -478,21 +478,17 @@ def run_task(name: str, params: dict, cfg: ExperimentConfig, seed: int,
                              "unitary": rep.unitary_count})
 
     if name == "groups":
-        which = params.get("which", "U,SU").split(",")
         metrics = {}
-        unitary = None      # U, enumerated at most once per task
-        for w in which:
+        for w in params.get("which", "U,SU").split(","):
             w = w.strip()
-            if w in ("U", "SU", "SO") and cfg.awi is not None and unitary is None:
-                unitary = enumerate_unitary(cfg.awi)
             if w == "U":
                 if cfg.awi is None:
                     raise ConfigError("group U needs an involution")
-                metrics["U"] = len(unitary)
+                metrics["U"] = len(enumerate_unitary(cfg.awi))
             elif w in ("SU", "SO", "SL"):
                 target = (_need_algebra(cfg) if cfg.awi is None or w == "SL"
                           else cfg.awi)
-                metrics[w] = len(enumerate_special(target, w, unitary))
+                metrics[w] = len(enumerate_special(target, w))
             else:
                 raise ConfigError(f"unknown group {w!r}")
         return ReportRecord(name, "PASS", metrics)

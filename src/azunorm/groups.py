@@ -22,64 +22,120 @@ def enumerate_unitary(awi: AlgebraWithInvolution):
 
     An involution adjoint to a recorded form (from hermitian_involution or
     adjoint_involution, also after extend_awi) is enumerated by orthonormal
-    frames; table involutions, which carry no form, are swept.
+    frames, each re-checked through the involution matrix; table
+    involutions, which carry no form, are swept.  The group is listed once
+    per involution: its sorted payloads stay in awi._unitary, and every
+    call returns fresh wrappers.
     """
     alg = awi.algebra
-    form = awi.involution.form
-    cands = alg.elements_p() if form is None else _frames_p(alg, *form)
-    out = []
-    for p in cands:
-        if awi.is_unitary_p(p):
-            out.append(AlgebraElem(alg, p))
-        elif form is not None:
-            raise ExactAlgebraError("frame is not unitary under the involution matrix")
-    if form is not None:
-        out.sort(key=lambda e: alg.encode(e.payload))
-    return out
+    if awi._unitary is None:
+        form = awi.involution.form
+        if form is None:
+            found = [p for p in alg.elements_p() if awi.is_unitary_p(p)]
+        else:
+            found = sorted(_frames_p(alg, *form), key=alg.encode)
+            if not all(awi.is_unitary_p(p) for p in found):
+                raise ExactAlgebraError("frame is not unitary under the involution matrix")
+        awi._unitary = found
+    return [AlgebraElem(alg, p) for p in awi._unitary]
 
 
 def _frames_p(alg: MatrixAlgebra, gram, conj):
     """Payloads of all a with conj(a)^T * gram * a = gram, column by column.
 
-    Column j runs over every vector v of C^n with form(v, v) = gram_jj and
-    form(a_i, v) = gram_ij for the earlier columns a_i, where
-    form(v, w) = conj(v)^T * gram * w.  The involution constructors only
-    record gram with conj(gram)^T = +-gram, so form(v, a_i) = gram_ji
-    follows.  No field assumption is used.
+    With form(v, w) = conj(v)^T * gram * w, column j must satisfy
+    form(a_i, v) = gram_ij for each earlier column a_i, a linear condition
+    with row conj(a_i)^T * gram that _solve_p solves, and form(v, v) =
+    gram_jj, tested on each solution.  For a unitary a, conj(a)^T * gram
+    is invertible, so a partial frame whose rows do not complete to an
+    invertible matrix has no extension and is dropped.  The involution
+    constructors only record gram with conj(gram)^T = +-gram, so
+    form(v, a_i) = gram_ji follows.  No field assumption is used.
     """
     C = alg.center
     n = alg.n
     h = gram.cells
-    add, mul = C.add_p, C.mul_p
     zero = C.zero_p()
     conj = conj or (lambda x: x)
-
-    def dot(r, v):
-        acc = zero
-        for x, y in zip(r, v):
-            acc = add(acc, mul(x, y))
-        return acc
-
-    # row[v] = conj(v)^T * gram, so that form(v, w) = dot(row[v], w)
-    row = {}
-    for v in itertools.product(list(C.elements_p()), repeat=n):
-        cv = [conj(x) for x in v]
-        row[v] = tuple(dot(cv, h[k::n]) for k in range(n))
+    elems = list(C.elements_p())
+    # row[v] = conj(v)^T * gram, so that form(v, w) = row[v] . w
+    row, norm = {}, {}
+    for v in itertools.product(elems, repeat=n):
+        r = row[v] = tuple(_lin(C, zero, [conj(x) for x in v], h[k::n]) for k in range(n))
+        norm[v] = _lin(C, zero, r, v)
     frames = [()]
     for j in range(n):
-        diag = [v for v, r in row.items() if dot(r, v) == h[j * n + j]]
-        frames = [cols + (v,) for cols in frames for v in diag
-                  if all(dot(row[c], v) == h[i * n + j] for i, c in enumerate(cols))]
+        target, rhs = h[j * n + j], h[j:j * n:n]
+        frames = [cols + (v,) for cols in frames
+                  for v in _solve_p(C, elems, [row[c] for c in cols], rhs, n)
+                  if norm[v] == target]
     for cols in frames:
         yield tuple(cols[j][i] for i in range(n) for j in range(n))
 
 
-def enumerate_special(a, which: str, unitary=None):
+def _solve_p(C: Ring, elems, rows, rhs, n: int):
+    """Every v in C^n with rows * v = rhs, each once; none when the rows
+    do not complete to an invertible n x n matrix.
+
+    Column operations (v = Q w, Q invertible) and row operations bring
+    [rows | rhs] to unit pivots: row k gets a 1 in column k and every other
+    row a 0 there.  Where no column from k on holds a unit in row k, one is
+    made by adding a combination of the later columns to column k, found
+    by search over elems.  A finite ring is a product of local rings, and a
+    row that completes to an invertible matrix has a unit entry in each
+    factor, so the search fails exactly when the rows do not complete.
+    Then w_c is free for c >= len(rows), w_k = rhs_k - sum_c row_k[c] w_c,
+    and v = Q w.
+    """
+    add, mul, sub, unit = C.add_p, C.mul_p, C.sub_p, C.is_unit_p
+    zero, one = C.zero_p(), C.one_p()
+    m = len(rows)
+    a = [list(r) + [t] for r, t in zip(rows, rhs)]
+    q = [[one if i == c else zero for c in range(n)] for i in range(n)]
+    for k in range(m):
+        ak = a[k]
+        piv = next((c for c in range(k, n) if unit(ak[c])), None)
+        # column operations act on the rows of a and of Q alike
+        if piv is None:
+            xs = next((xs for xs in itertools.product(elems, repeat=n - k - 1)
+                       if unit(_lin(C, ak[k], xs, ak[k + 1:n]))), None)
+            if xs is None:
+                return []
+            for r in a + q:
+                r[k] = _lin(C, r[k], xs, r[k + 1:n])
+        elif piv != k:
+            for r in a + q:
+                r[k], r[piv] = r[piv], r[k]
+        inv = C.inv_p(ak[k])
+        ak[:] = [mul(inv, x) for x in ak]
+        for r in a:
+            f = r[k]
+            if r is not ak and f != zero:
+                r[k:] = [sub(x, mul(f, y)) for x, y in zip(r[k:], ak[k:])]
+    out = [tuple(_lin(C, zero, [r[n] for r in a], qi) for qi in q)]
+    for c in range(m, n):
+        negs = [C.neg_p(r[c]) for r in a]
+        kc = [_lin(C, qi[c], negs, qi) for qi in q]
+        steps = [[mul(s, x) for x in kc] for s in elems]
+        out = [tuple([add(x, y) for x, y in zip(v, step)]) for v in out for step in steps]
+    return out
+
+
+def _lin(C: Ring, u, xs, ys):
+    """u + sum x * y over C, skipping the zero x."""
+    zero = C.zero_p()
+    for x, y in zip(xs, ys):
+        if x != zero:
+            u = C.add_p(u, C.mul_p(x, y))
+    return u
+
+
+def enumerate_special(a, which: str):
     """Norm-one subgroups: 'SL' (nrd = 1), 'SU'/'SO' (unitary and nrd = 1).
 
     'SL' takes a bare algebra and sweeps it; the unitary flavours need an
-    involution and filter its unitary group: the list enumerate_unitary(a)
-    returned when the caller passes it as unitary, else a fresh enumeration.
+    involution and filter its unitary group, which enumerate_unitary lists
+    once per involution.
     """
     if which not in ("SL", "SU", "SO"):
         raise ClassificationError(f"unknown special group {which!r}")
@@ -87,9 +143,7 @@ def enumerate_special(a, which: str, unitary=None):
         if not isinstance(a, AlgebraWithInvolution):
             raise ClassificationError(f"{which} needs an involution")
         one_c = a.center_ring.one_p()
-        if unitary is None:
-            unitary = enumerate_unitary(a)
-        return [u for u in unitary if a.nrd_p(u.payload) == one_c]
+        return [u for u in enumerate_unitary(a) if a.nrd_p(u.payload) == one_c]
     one_c = a.cdata.ring.one_p()
     return [AlgebraElem(a, p) for p in a.elements_p()
             if a.is_unit_p(p) and algebra_nrd(a, p).payload == one_c]

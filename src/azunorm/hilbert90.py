@@ -2,8 +2,9 @@
 
 Every norm-one element a is exhibited as b * sigma(b)^-1 for an explicit
 unit b = c + sigma(c) * a, where c solves the scalar descent problem for a
-suitable circle element lambda.  All witnesses re-verify by independent
-multiplication; nothing is trusted from the construction itself.
+suitable circle element lambda.  Every witness is re-verified by
+multiplication, without an inverse: b is a unit and a * sigma(b) = b, which
+says b * sigma(b)^-1 = a; nothing is trusted from the construction itself.
 """
 
 from __future__ import annotations
@@ -73,11 +74,9 @@ def _descend(awi: AlgebraWithInvolution, a: AlgebraElem, lam: RingElem) -> H90Wi
     c = C.hilbert90_scalar(lam)
     b = awi.embed_center(c) + awi.embed_center(C.sigma(c)) * a
     ok = C.mul_p(lam.payload, C.sigma_p(lam.payload)) == C.one_p()
-    ok = ok and C.mul_p(c.payload, C.inv_p(C.sigma_p(c.payload))) == lam.payload
-    ok = ok and b.is_unit
-    if ok:
-        recovered = b * awi.sigma(b).inverse()
-        ok = recovered.payload == a.payload
+    ok = ok and c.payload == C.mul_p(lam.payload, C.sigma_p(c.payload))
+    # b is a unit, so sigma(b) is one too and a * sigma(b) = b says b * sigma(b)^-1 = a
+    ok = ok and b.is_unit and (a * awi.sigma(b)).payload == b.payload
     return H90Witness(input=a, lam=lam, c=c, b=b, verified=ok)
 
 

@@ -6,7 +6,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from order_oracles import gl_order, sl_order, special_unitary_order, unitary_order
 
 from azunorm import cli, groups, presets
@@ -183,6 +183,49 @@ def test_frames_visit_no_algebra_elements(monkeypatch):
     monkeypatch.setattr(a, "elements_p", no_sweep)
     assert len(enumerate_unitary(aw)) == unitary_order(2, 3)
     assert len(enumerate_special(aw, "SU")) == special_unitary_order(2, 3)
+
+
+def test_frames_of_hermitian_m3_f3i_match_the_oracles(monkeypatch):
+    # 9^9 elements: only the frames can list U, and the orders come from
+    # order_oracles, which shares no code with them
+    c = presets.etale_preset("f3i")
+    a = MatrixAlgebra(c, 3)
+    aw = AlgebraWithInvolution(a, hermitian_involution(a, RingMatrix.identity(c, 3)))
+
+    def no_sweep():
+        raise AssertionError("swept the algebra")
+    monkeypatch.setattr(a, "elements_p", no_sweep)
+    assert len(enumerate_unitary(aw)) == unitary_order(3, 3) == 24192
+    assert len(enumerate_special(aw, "SU")) == special_unitary_order(3, 3) == 6048
+
+
+def _hermitian_form(c, x, y, z):
+    """[[x, y], [sigma(y), z]] from the x-th and z-th sigma-fixed elements
+    and the y-th element of c, all in canonical order."""
+    fixed = [e for e in c.elements_p() if c.sigma_p(e) == e]
+    yp = c.decode(y)
+    return RingMatrix(c, 2, 2, [fixed[x], yp, c.sigma_p(yp), fixed[z]])
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(center=st.sampled_from(["f3i", "f3split"]), x=st.integers(0, 2),
+       y=st.integers(0, 8), z=st.integers(0, 2))
+# x = 0 makes the first column isotropic, with y other than the hyperbolic 1
+@example(center="f3i", x=0, y=4, z=1)
+@example(center="f3i", x=0, y=5, z=0)
+@example(center="f3split", x=0, y=1, z=2)
+@example(center="f3split", x=0, y=6, z=0)
+def test_frames_equal_the_sweep_on_random_hermitian_forms(center, x, y, z):
+    c = presets.etale_preset(center)
+    h = _hermitian_form(c, x, y, z)
+    assume(h.det().is_unit)
+    a = MatrixAlgebra(c, 2)
+    aw = AlgebraWithInvolution(a, hermitian_involution(a, h))
+    swept = _swept_unitary(aw)
+    assert [u.payload for u in enumerate_unitary(aw)] == swept
+    onec = c.one_p()
+    assert ([u.payload for u in enumerate_special(aw, "SU")]
+            == [p for p in swept if aw.nrd_p(p) == onec])
 
 
 def test_table_involution_keeps_the_sweep(monkeypatch):
@@ -549,17 +592,29 @@ GROUPS_CONFIGS = {
     ("m3-f3", "U,SO", {"U": 48, "SO": 24}),
 ])
 def test_groups_task_enumerates_u_once(monkeypatch, case, which, want):
+    # one frame search per involution, shared by a groups task and a later
+    # h90-all task on the same config
     cfg = cli.parse_config("[ring]\nkind = prime\nmodulus = 3\n" + GROUPS_CONFIGS[case])
-    real = groups.enumerate_unitary
-    calls = []
+    real = groups._frames_p
+    runs = []
 
-    def counted(awi):
-        calls.append(awi)
-        return real(awi)
+    def counted(alg, *form):
+        runs.append(alg)
+        return real(alg, *form)
 
-    monkeypatch.setattr(groups, "enumerate_unitary", counted)
-    monkeypatch.setattr(cli, "enumerate_unitary", counted)
-    code, (rec,) = cli.run(cfg, tasks=[("groups", {"which": which}, 1)],
-                           out=io.StringIO())
-    assert code == 0 and rec.metrics == want
-    assert calls == [cfg.awi]
+    monkeypatch.setattr(groups, "_frames_p", counted)
+    tasks = [("groups", {"which": which}, 1)]
+    if cfg.awi.kind == "unitary":
+        tasks.append(("h90-all", {}, 2))
+    code, recs = cli.run(cfg, tasks=tasks, out=io.StringIO())
+    assert code == 0 and recs[0].metrics == want
+    if cfg.awi.kind == "unitary":
+        assert recs[1].metrics == {"total": 96, "verified": 96}
+    assert runs == [cfg.awi.algebra]
+    # each call hands out its own list: mutating one leaves the next intact
+    first = enumerate_unitary(cfg.awi)
+    payloads = [u.payload for u in first]
+    first.reverse()
+    first.pop()
+    assert [u.payload for u in enumerate_unitary(cfg.awi)] == payloads
+    assert runs == [cfg.awi.algebra]

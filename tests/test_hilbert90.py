@@ -7,7 +7,7 @@ from order_oracles import unitary_order
 from azunorm import presets
 from azunorm.algebras import AlgebraWithInvolution, MatrixAlgebra
 from azunorm.groups import enumerate_unitary
-from azunorm.hilbert90 import find_lambda, h90_witness, inclusion_check
+from azunorm.hilbert90 import _descend, find_lambda, h90_witness, inclusion_check
 from azunorm.rings import ClassificationError, ExactAlgebraError, RingMatrix
 
 
@@ -74,6 +74,20 @@ def test_witness_replay_over_all_forms():
             bp = w.b.payload
             assert alg.is_unit_p(bp)
             assert alg.mul_p(bp, alg.inv_p(aw.sigma_p(bp))) == g.payload
+
+
+def test_descent_check_rejects_what_is_no_witness():
+    # the descent is checked as a * sigma(b) = b with b a unit
+    aw, a = diag_generators()
+    alg = aw.algebra
+    c = aw.center_ring
+    assert _descend(aw, a, c.one).verified
+    # 1 + sqrt(-1) has norm 2: a unit that is not norm-one, and its b is a unit
+    w = _descend(aw, aw.embed_center(c.one + c.sqrt_gen), c.one)
+    assert w.b.is_unit and not w.verified
+    # -1 is norm-one, but -lambda = 1 is its eigenvalue: b = 2 - 2 = 0
+    w = _descend(aw, alg.elem(alg.neg_p(alg.one_p())), c.one)
+    assert w.b.payload == alg.zero_p() and not w.verified
 
 
 def test_inclusion_check_full_unitary_group():
