@@ -293,6 +293,8 @@ def _task_params(name: str, tokens, lineno: int) -> dict:
         k, v = tok.split("=", 1)
         if k not in _TASK_PARAMS[name]:
             _fail(lineno, f"unknown parameter {k!r} for task {name}")
+        if k in params:
+            _fail(lineno, f"duplicate parameter {k!r} for task {name}")
         params[k] = v
     return params
 

@@ -103,9 +103,9 @@ class QuadraticEtale(PolyQuotient):
 
         Tries c = 1 + lam first (valid whenever it is a unit, since
         lam*sigma(1+lam) = lam + lam*sigma(lam) = 1 + lam); otherwise scans
-        the units in canonical order.  Raises SearchExhausted if no unit
-        works, which would disprove surjectivity of c |-> c*sigma(c)^{-1}
-        onto the norm-one circle for this extension.
+        the units in canonical order for c = lam*sigma(c).  Raises
+        SearchExhausted if no unit works, which would disprove surjectivity
+        of c |-> c*sigma(c)^{-1} onto the norm-one circle for this extension.
         """
         if lam.ring != self:
             raise ShapeError("lambda must live in this extension")
@@ -116,7 +116,7 @@ class QuadraticEtale(PolyQuotient):
             return cand
         lam_p = lam.payload
         for c in self.units_p():
-            if self.mul_p(c, self.inv_p(self.sigma_p(c))) == lam_p:
+            if c == self.mul_p(lam_p, self.sigma_p(c)):
                 return self.elem(c)
         raise SearchExhausted(
             f"no unit c with c*sigma(c)^{{-1}} = {self.show(lam_p)} in {self!r}")

@@ -1,20 +1,20 @@
 """Unit, unitary and special groups; reduced-norm images; functor values.
 
-Quotients of finite abelian unit groups are represented by an explicit coset
-decomposition plus an elementary-divisor list.  No generic group-theory
-engine: everything here is enumeration over small finite rings.
+Quotients of finite abelian unit groups are explicit coset decompositions,
+split one cyclic factor at a time.  No generic group-theory engine:
+everything here is enumeration over small finite rings.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 from .algebras import (Algebra, AlgebraElem, AlgebraWithInvolution,
                        MatrixAlgebra, extend_awi, nrd_data as algebra_nrd,
                        scalar_extension)
 from .etale import QuadraticEtale
-from .rings import (ClassificationError, ExactAlgebraError, Ring, RingElem,
-                    square_and_multiply)
+from .rings import ClassificationError, ExactAlgebraError, Ring, RingElem
 
 
 def enumerate_unitary(awi: AlgebraWithInvolution):
@@ -234,7 +234,9 @@ class FiniteAbelianPresentation:
     Elements and the subgroup are payload sets over one ring; the quotient
     is materialized as cosets keyed by their minimal representative.  Both
     sets are verified to be groups by _check_subgroup, which closes each
-    from 1 under a few generators drawn from the set itself.
+    from 1 under a few generators drawn from the set itself.  The invariant
+    factors come from a chain of such presentations, each the quotient of
+    the last by a cyclic subgroup of largest order.
     """
 
     def __init__(self, ring: Ring, members, subgroup=None):
@@ -271,74 +273,33 @@ class FiniteAbelianPresentation:
     def op(self, a, b):
         return self.rep(self.ring.mul_p(a, b))
 
-    def pow(self, a, k: int):
-        if k < 0:
-            a, k = self.inverse_rep(a), -k
-        return square_and_multiply(self.op, self.identity, self.rep(a), k)
-
-    def inverse_rep(self, a):
-        return self.rep(self.ring.inv_p(self.rep(a)))
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.order == 1
-
     @property
     def elementary_divisors(self):
-        """Invariant factors d_1 | d_2 | ... with product equal to the order."""
-        n = self.order
-        if n == 1:
+        """Invariant factors d_1 | d_2 | ... with product equal to the order.
+
+        In a finite abelian group a cyclic subgroup <g> of largest order e is
+        a direct summand, so the factors are those of the quotient by <g>,
+        followed by e.  g is the first coset representative of largest
+        order; the quotient is again a verified presentation.
+        """
+        if self.order == 1:
             return []
-        primes = []
-        m = n
-        p = 2
-        while p * p <= m:
-            if m % p == 0:
-                primes.append(p)
-                while m % p == 0:
-                    m //= p
-            p += 1
-        if m > 1:
-            primes.append(m)
-        reps = [c[0] for c in self.cosets]
-        by_prime = {}
-        for p in primes:
-            # s_k = log_p #(elements killed by p^k); differences count factors
-            szs = [0]
-            k = 1
-            while True:
-                cnt = 0
-                q = p ** k
-                for g in reps:
-                    if self.pow(g, q) == self.identity:
-                        cnt += 1
-                s = 0
-                while p ** s < cnt:
-                    s += 1
-                if p ** s != cnt:
-                    raise ExactAlgebraError("p-torsion count is not a p-power")
-                szs.append(s)
-                if k > 1 and szs[k] == szs[k - 1]:
-                    break
-                k += 1
-            expos = []
-            for j in range(1, len(szs) - 1):
-                exactly = (szs[j] - szs[j - 1]) - (szs[j + 1] - szs[j])
-                expos.extend([j] * exactly)
-            if expos:
-                by_prime[p] = sorted(expos, reverse=True)
-        factors = []
-        while any(by_prime.values()):
-            d = 1
-            for p, expos in by_prime.items():
-                if expos:
-                    d *= p ** expos.pop(0)
-            factors.append(d)
-        factors.reverse()
-        prod = 1
-        for d in factors:
-            prod *= d
-        if prod != n:
+        cycle, seen = [], set()
+        for g, _ in self.cosets:
+            # a power of an earlier representative has no larger order
+            if g in seen:
+                continue
+            powers = [g]
+            while powers[-1] != self.identity:
+                powers.append(self.op(powers[-1], g))
+            seen.update(powers)
+            if len(powers) > len(cycle):
+                cycle = powers
+        reps = set(cycle)
+        sub = [m for rep, coset in self.cosets if rep in reps for m in coset]
+        factors = FiniteAbelianPresentation(self.ring, self.members, sub).elementary_divisors
+        factors.append(len(cycle))
+        if math.prod(factors) != self.order:
             raise ExactAlgebraError("invariant factors do not multiply to the order")
         return factors
 

@@ -246,6 +246,21 @@ def test_subcommand_rejects_unknown_param(tmp_path, capsys):
     assert "is not key=value" in capsys.readouterr().err
 
 
+def test_repeated_task_parameter_is_refused(tmp_path, capsys):
+    # a second which= or d= would otherwise replace the first without a word
+    for line in ("groups which=U which=SU", "survey d=0 d=1"):
+        path = write(tmp_path, UNITARY_CFG.replace("task = np-bruteforce", f"task = {line}"))
+        assert cli.main(["run", "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: line 18: duplicate parameter")
+    path = write(tmp_path, UNITARY_CFG)
+    assert cli.main(["groups", "--config", path, "which=U", "which=SU"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "duplicate parameter 'which' for task groups" in captured.err
+
+
 def test_params_without_subcommand_rejected(tmp_path, capsys):
     path = write(tmp_path, UNITARY_CFG)
     assert cli.main(["run", "--config", path, "which=U"]) == 2

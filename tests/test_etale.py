@@ -94,6 +94,29 @@ def test_scalar_factorization_frozen_branches():
         assert c.hilbert90_scalar(-c.one) == c.sqrt_gen, name
 
 
+def test_scanned_scalar_is_the_first_unit_that_works():
+    # where 1 + lam is not a unit (lam = -1 everywhere) the units are scanned;
+    # the answer is the first in canonical order with c * sigma(c)^{-1} = lam
+    scanned = {}
+    for name, c in presets.etale_family():
+        for lam in c.unitary_scalars():
+            if (c.one + lam).is_unit:
+                continue
+            first = next(u for u in map(c.elem, c.units_p())
+                         if u * c.sigma(u).inverse() == lam)
+            assert c.hilbert90_scalar(lam) == first, name
+            scanned.setdefault(name, []).append((lam, first))
+    assert {name: len(got) for name, got in scanned.items()} == {
+        "f3i": 1, "f3split": 1, "f5sqrt2": 1, "f5split": 1, "f7sqrt3": 1,
+        "z9sqrt2": 3, "f9gen": 1}
+    for name, c in presets.etale_family():
+        assert scanned[name][0] == (-c.one, c.sqrt_gen), name
+    c = presets.etale_preset("z9sqrt2")
+    x = c.sqrt_gen
+    assert scanned["z9sqrt2"][1:] == [(c.from_int(8) + c.from_int(3) * x, c.from_int(6) + x),
+                                      (c.from_int(8) + c.from_int(6) * x, c.from_int(3) + x)]
+
+
 def test_gauss_generator_factorization():
     c = presets.etale_preset("f3i")
     i = c.sqrt_gen

@@ -3,6 +3,7 @@ finite abelian quotients with their invariant factors."""
 
 import io
 import itertools
+import math
 import random
 
 import pytest
@@ -458,7 +459,7 @@ def test_invariant_factors_of_quotient():
         for r2, _ in pres.cosets:
             prod = pres.op(r1, r2)
             assert prod in {r for r, _ in pres.cosets}
-            assert pres.op(prod, pres.inverse_rep(r2)) == r1
+            assert pres.op(prod, pres.rep(c.inv_p(r2))) == r1
 
 
 def test_divisors_do_not_depend_on_input_order():
@@ -470,13 +471,86 @@ def test_divisors_do_not_depend_on_input_order():
     assert [r for r, _ in a.cosets] == [r for r, _ in b.cosets]
 
 
-def test_negative_powers_in_a_presentation_invert_first():
-    f5 = PrimeField(5)
-    units = list(f5.units_p())
-    pres = FiniteAbelianPresentation(f5, units)
-    for g in units:
-        assert pres.pow(g, -1) == pres.inverse_rep(g)
-        assert pres.pow(g, -3) == pres.inverse_rep(pres.pow(g, 3))
+# an oracle that shares no code with groups.py: (Z/n)^x for odd n splits by
+# the CRT into cyclic (Z/p^k)^x of order phi(p^k) = p^(k-1) (p-1), and Z/m
+# modulo d-th powers is Z/gcd(m, d); the i-th largest invariant factor takes
+# the i-th largest power of each prime from the cyclic parts
+def _prime_powers(m):
+    """{p: k} with m the product of the p^k, by trial division."""
+    out, p = {}, 2
+    while p * p <= m:
+        while m % p == 0:
+            out[p] = out.get(p, 0) + 1
+            m //= p
+        p += 1
+    if m > 1:
+        out[m] = out.get(m, 0) + 1
+    return out
+
+
+def _units_mod_powers_factors(n: int, d: int):
+    """Invariant factors of (Z/n)^x modulo d-th powers, ascending; d = 0 keeps all."""
+    primary = {}
+    for p, k in _prime_powers(n).items():
+        for q, e in _prime_powers(math.gcd(p ** (k - 1) * (p - 1), d)).items():
+            primary.setdefault(q, []).append(q ** e)
+    for powers in primary.values():
+        powers.sort(reverse=True)
+    factors = [math.prod(powers[i] for powers in primary.values() if i < len(powers))
+               for i in range(max(map(len, primary.values()), default=0))]
+    return factors[::-1]
+
+
+def test_oracle_on_known_groups():
+    assert _units_mod_powers_factors(9, 0) == [6]
+    assert _units_mod_powers_factors(105, 0) == [2, 2, 12]
+    assert _units_mod_powers_factors(105, 2) == [2, 2, 2]
+    assert _units_mod_powers_factors(63, 3) == [3, 3]
+    assert _units_mod_powers_factors(3, 0) == [2]
+    assert _units_mod_powers_factors(91, 3) == [3, 3]
+    assert _units_mod_powers_factors(25, 3) == []
+
+
+@pytest.mark.parametrize("d", [0, 2, 3])
+def test_invariant_factors_match_the_crt_oracle(d):
+    for n in range(3, 402, 2):
+        zn = Zmod(n)
+        units = [u for u in range(n) if math.gcd(u, n) == 1]
+        pres = FiniteAbelianPresentation(zn, units, {pow(u, d, n) for u in units})
+        assert pres.elementary_divisors == _units_mod_powers_factors(n, d), n
+
+
+# (order, invariant factors) for d = 0..4
+LINEAR_POWER_QUOTIENTS = {
+    "f3i": ((8, [8]), (1, []), (2, [2]), (1, []), (4, [4])),
+    "f3split": ((4, [2, 2]), (1, []), (4, [2, 2]), (1, []), (4, [2, 2])),
+    "f5sqrt2": ((24, [24]), (1, []), (2, [2]), (3, [3]), (4, [4])),
+    "f5split": ((16, [4, 4]), (1, []), (4, [2, 2]), (1, []), (16, [4, 4])),
+    "f7sqrt3": ((48, [48]), (1, []), (2, [2]), (3, [3]), (4, [4])),
+    "z9sqrt2": ((72, [3, 24]), (1, []), (2, [2]), (9, [3, 3]), (4, [4])),
+    "f9gen": ((80, [80]), (1, []), (2, [2]), (1, []), (4, [4])),
+}
+UNITARY_POWER_QUOTIENTS = {
+    "f3i": ((4, [4]), (1, []), (2, [2]), (1, []), (4, [4])),
+    "f3split": ((2, [2]), (1, []), (2, [2]), (1, []), (2, [2])),
+    "f5sqrt2": ((6, [6]), (1, []), (2, [2]), (3, [3]), (2, [2])),
+    "f5split": ((4, [4]), (1, []), (2, [2]), (1, []), (4, [4])),
+    "f7sqrt3": ((8, [8]), (1, []), (2, [2]), (1, []), (4, [4])),
+    "z9sqrt2": ((12, [12]), (1, []), (2, [2]), (3, [3]), (4, [4])),
+    "f9gen": ((10, [10]), (1, []), (2, [2]), (1, []), (2, [2])),
+}
+
+
+@pytest.mark.parametrize("name", presets.ETALE_NAMES)
+def test_power_quotients_of_the_etale_presets_frozen(name):
+    c = presets.etale_preset(name)
+    ext = etale_extension(c)
+    identity = FiniteFreeExtension.identity(c.base)
+    for d in range(5):
+        q = functor_linear(None, ext, d)
+        assert (q.order, q.elementary_divisors) == LINEAR_POWER_QUOTIENTS[name][d], d
+        q = functor_unitary(c, identity, d)
+        assert (q.order, q.elementary_divisors) == UNITARY_POWER_QUOTIENTS[name][d], d
 
 
 def test_presentation_rejects_non_groups():
@@ -500,7 +574,7 @@ def test_power_quotient_orders():
 def test_split_algebra_swallows_everything():
     ext = etale_extension(presets.etale_preset("f3i"))
     q = functor_linear(presets.matrix_preset(3, 2), ext, 2)
-    assert q.is_trivial
+    assert q.order == 1
 
 
 def test_unitary_functor_orders():
