@@ -193,11 +193,6 @@ class MatrixAlgebra(Algebra):
     def as_matrix_p(self, a) -> RingMatrix:
         return RingMatrix(self.center, self.n, self.n, a)
 
-    def from_matrix(self, m: RingMatrix) -> AlgebraElem:
-        if m.ring != self.center or m.nrows != self.n or m.ncols != self.n:
-            raise ShapeError("matrix does not fit this algebra")
-        return AlgebraElem(self, tuple(m.cells))
-
     def embed_center_p(self, c):
         z = self.center.zero_p()
         n = self.n

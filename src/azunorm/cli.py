@@ -404,13 +404,10 @@ def _extension_for(cfg, name: str) -> FiniteFreeExtension:
     raise ConfigError(f"unknown extension {name!r} (expected identity or etale)")
 
 
-def _int_param(params, key, default):
+def _int_param(params, key, default, lineno: int):
     if key not in params:
         return default
-    try:
-        return int(params[key], 10)
-    except ValueError:
-        raise ConfigError(f"parameter {key} must be an integer")
+    return _want_int(params[key], lineno, f"parameter {key}")
 
 
 def _with_algebra(params, lineno: int) -> bool:
@@ -460,7 +457,7 @@ def run_task(name: str, params: dict, cfg: ExperimentConfig, seed: int,
         if "a" not in params:
             raise ConfigError("task np-witness needs a=<element>")
         a = awi.algebra.elem(_parse_element(cfg, params["a"], lineno))
-        use_seed = _int_param(params, "seed", seed)
+        use_seed = _int_param(params, "seed", seed, lineno)
         if use_seed < 0:
             _fail(lineno, "seed must be nonnegative")
         w = np_witness(cfg.split, a, seed=use_seed)
@@ -497,7 +494,7 @@ def run_task(name: str, params: dict, cfg: ExperimentConfig, seed: int,
 
     if name == "functor":
         kind = params.get("kind", "linear")
-        d = _int_param(params, "d", 1)
+        d = _int_param(params, "d", 1, lineno)
         ext = _extension_for(cfg, params.get("ext", "identity"))
         with_algebra = _with_algebra(params, lineno)
         if kind == "linear":
@@ -533,7 +530,7 @@ def run_task(name: str, params: dict, cfg: ExperimentConfig, seed: int,
                                  "mapped": rep.mapped_size,
                                  "base": rep.base_norms})
         if which == "additivity":
-            d = _int_param(params, "d", 1)
+            d = _int_param(params, "d", 1, lineno)
             e1 = FiniteFreeExtension.identity(cfg.ring)
             e2 = _extension_for(cfg, params.get("ext", "etale"))
             arg = _need_algebra(cfg) if _with_algebra(params, lineno) else None
@@ -545,7 +542,7 @@ def run_task(name: str, params: dict, cfg: ExperimentConfig, seed: int,
             poly = params.get("poly", "x2-1")
             if poly not in presets.POLY_EXTENSION_NAMES:
                 raise ConfigError(f"unknown polynomial extension {poly!r}")
-            samples = _int_param(params, "samples", 200)
+            samples = _int_param(params, "samples", 200, lineno)
             rep = base_change_check(presets.poly_extension_preset(poly),
                                     samples=samples, seed=seed)
             return ReportRecord(name, "PASS" if rep.ok else "FAIL",

@@ -551,9 +551,6 @@ class Poly:
             return self.coeffs[i]
         return self.ring.zero_p()
 
-    def coeff_elem(self, i) -> RingElem:
-        return RingElem(self.ring, self.coeff(i))
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs

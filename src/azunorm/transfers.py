@@ -266,8 +266,7 @@ def _coset_map_checks(source: FiniteAbelianPresentation,
     return mapping, well, hom_ok, bad
 
 
-def transfer_on_functor(kind: str, a, ext: FiniteFreeExtension, d: int,
-                        precondition_report: NormInclusionReport = None
+def transfer_on_functor(kind: str, a, ext: FiniteFreeExtension, d: int
                         ) -> TransferReport:
     """The norm-induced map F(total) -> F(base), with every check replayed.
 
@@ -277,10 +276,8 @@ def transfer_on_functor(kind: str, a, ext: FiniteFreeExtension, d: int,
     sigma(N(x)) is verified on every source element.
     """
     if kind == "linear":
-        if a is not None:
-            pre = precondition_report or norm_inclusion_check(a, ext)
-            if not pre.included:
-                raise ExactAlgebraError("norm inclusion precondition failed")
+        if a is not None and not norm_inclusion_check(a, ext).included:
+            raise ExactAlgebraError("norm inclusion precondition failed")
         functor, push = functor_linear, ext.norm_p
     elif kind == "unitary":
         if isinstance(a, QuadraticEtale):

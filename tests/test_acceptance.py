@@ -165,7 +165,7 @@ def test_criterion_6_norm_inclusion_and_transfer():
     for name, alg, ext in presets.norm_pairs():
         rep = norm_inclusion_check(alg, ext)
         assert rep.included, name
-        t = transfer_on_functor("linear", alg, ext, 1, precondition_report=rep)
+        t = transfer_on_functor("linear", alg, ext, 1)
         assert t.well_defined and t.hom_ok
         runs += 1
     for name in presets.ETALE_NAMES:

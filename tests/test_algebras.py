@@ -59,7 +59,7 @@ def test_matrix_over_etale_is_azumaya_over_its_center():
 
 def test_split_char_poly_frozen():
     a = MatrixAlgebra(F7, 2)
-    x = a.from_matrix(RingMatrix.from_rows(F7, [[1, 0], [0, 2]]))
+    x = a.elem(RingMatrix.from_rows(F7, [[1, 0], [0, 2]]).cells)
     p = reduced_char_poly(a, x)
     assert list(p.coeffs) == [F7.int_p(2), F7.int_p(4), F7.int_p(1)]
 

@@ -297,6 +297,42 @@ def test_table_config_runs(tmp_path, capsys):
     assert "CHECK verify-azumaya PASS" in out and "det-unit=1" in out
 
 
+def test_quaternion_involution_is_conjugation_or_none(tmp_path, capsys):
+    text = QUATERNION_CFG.replace("conjugation", "none")
+    assert parse_config(text).awi is None
+    assert cli.main(["run", "--config", write(tmp_path, text)]) == 0
+    assert capsys.readouterr().out == (
+        "CHECK verify-azumaya PASS det-unit=1 dimension=16\nCHECK groups PASS SL=120\n")
+    path = write(tmp_path, QUATERNION_CFG.replace("conjugation", "transpose"))
+    assert cli.main(["run", "--config", path]) == 2
+    assert capsys.readouterr() == (
+        "", "config error: line 9: unknown involution 'transpose' for quaternion form\n")
+
+
+def test_form_that_is_not_hermitian_exits_two_at_the_first_algebra_key(tmp_path, capsys):
+    # the involution builder's error is placed on `form`, line 10, not on `h`
+    path = write(tmp_path, UNITARY_CFG.replace("h = identity", "h = 0,1;2,0"))
+    assert cli.main(["run", "--config", path]) == 2
+    assert capsys.readouterr() == ("", "config error: line 10: h is not hermitian\n")
+
+
+def test_unwritable_report_exits_two_after_the_check_lines(tmp_path, capsys):
+    path = write(tmp_path, QUATERNION_CFG)
+    report = tmp_path / "absent" / "r.jsonl"
+    assert cli.main(["run", "--config", path, "--report", str(report)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ("CHECK verify-azumaya PASS det-unit=1 dimension=16\n"
+                   "CHECK groups PASS SL=120\n")
+    assert err.startswith("cannot write report: ")
+
+
+def test_h90_all_fails_on_the_split_center(tmp_path, capsys):
+    # s = 1 makes the center F3 x F3
+    path = write(tmp_path, UNITARY_CFG.replace("s = -1", "s = 1"))
+    assert cli.main(["h90-all", "--config", path]) == 1
+    assert capsys.readouterr().out == "CHECK h90-all FAIL total=48 verified=36\n"
+
+
 def test_report_json_shape_and_order(tmp_path, capsys):
     path = write(tmp_path, UNITARY_CFG)
     report = tmp_path / "report.jsonl"
@@ -515,6 +551,24 @@ def test_np_witness_seed_must_be_nonnegative(tmp_path, capsys):
     assert cli.main(["run", "--config", path]) == 1
     assert 'CHECK np-witness ERROR detail="line 17: seed must be nonnegative"' \
         in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("task, params, key", [
+    ("np-witness", ["a=1:0,0:0,0:0,1:0", "seed=x"], "seed"),
+    ("functor", ["d=x"], "d"),
+    ("axioms", ["which=additivity", "d=x"], "d"),
+    ("axioms", ["which=base-change", "samples=x"], "samples"),
+])
+def test_integer_task_parameter_errors_carry_the_task_line(tmp_path, capsys, task,
+                                                          params, key):
+    detail = f"parameter {key} must be an integer, got 'x'"
+    path = write(tmp_path, UNITARY_CFG)
+    assert cli.main([task, "--config", path, *params]) == 1
+    assert capsys.readouterr().out == f'CHECK {task} ERROR detail="{detail}"\n'
+    path = write(tmp_path, UNITARY_CFG.replace("task = h90-all",
+                                               f"task = {task} {' '.join(params)}"))
+    assert cli.main(["run", "--config", path]) == 1
+    assert f'CHECK {task} ERROR detail="line 17: {detail}"' in capsys.readouterr().out
 
 
 def test_np_witness_record_on_the_random_route_carries_its_seed(tmp_path, capsys):

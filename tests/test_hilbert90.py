@@ -5,7 +5,7 @@ import pytest
 from order_oracles import unitary_order
 
 from azunorm import presets
-from azunorm.algebras import AlgebraWithInvolution, MatrixAlgebra
+from azunorm.algebras import AlgebraWithInvolution, MatrixAlgebra, hermitian_involution
 from azunorm.groups import enumerate_unitary
 from azunorm.hilbert90 import _descend, find_lambda, h90_witness, inclusion_check
 from azunorm.rings import ClassificationError, ExactAlgebraError, RingMatrix
@@ -16,7 +16,7 @@ def diag_generators():
     c = aw.center_ring
     i = c.sqrt_gen
     m = RingMatrix.from_rows(c, [[i, c.zero], [c.zero, -i]])
-    return aw, aw.algebra.from_matrix(m)
+    return aw, aw.algebra.elem(m.cells)
 
 
 def test_lambda_choice_frozen():
@@ -96,6 +96,17 @@ def test_inclusion_check_full_unitary_group():
     assert rep.total == unitary_order(2, 3) == 96
     assert rep.verified == 96
     assert rep.failures == []
+
+
+def test_inclusion_check_fails_on_the_split_center():
+    c = presets.etale_preset("f3split")
+    a = MatrixAlgebra(c, 2)
+    rep = inclusion_check(AlgebraWithInvolution(
+        a, hermitian_involution(a, RingMatrix.identity(c, 2))))
+    assert not rep.ok
+    assert (rep.total, rep.verified) == (48, 36)
+    assert [msg for _, msg in rep.failures] == 12 * [
+        "search exhausted: no circle scalar gives a unit characteristic value"]
 
 
 def test_inclusion_check_degree_one():

@@ -169,6 +169,15 @@ def test_unitary_transfer_on_center():
     assert (rep.source_order, rep.target_order) == (2, 2)
 
 
+def test_unitary_transfer_with_an_algebra():
+    # along F3 -> F3[i]: the source lists the 5,760 frames of U over the
+    # 81-element extended center
+    f3i = presets.etale_preset("f3i")
+    rep = transfer_on_functor("unitary", presets.unitary_m2_f3i(), etale_extension(f3i), 1)
+    assert rep.well_defined and rep.hom_ok and rep.sigma_compat
+    assert (rep.source_order, rep.target_order) == (1, 1)
+
+
 def test_coset_map_that_splits_a_coset_is_not_well_defined():
     f5 = PrimeField(5)
     units = list(f5.units_p())
