@@ -192,6 +192,14 @@ def _parse_matrix(center, n: int, literal: str, lineno: int) -> RingMatrix:
     return RingMatrix(center, n, n, [_center_entry(center, t, lineno) for t in entries])
 
 
+def _at(lineno: int, build, *args):
+    """build(*args), with a library error reported at config line lineno."""
+    try:
+        return build(*args)
+    except ExactAlgebraError as e:
+        _fail(lineno, str(e))
+
+
 def _build_algebra(cfg: ExperimentConfig, sec):
     form, fl = sec.get("form", (None, 0))
     if form is None:
@@ -208,21 +216,21 @@ def _build_algebra(cfg: ExperimentConfig, sec):
         if n > DEGREE_MAX:
             _fail(dl, f"degree must be at most {DEGREE_MAX}")
         center = cfg.etale if cfg.etale is not None else cfg.ring
-        algebra = MatrixAlgebra(center, n)
+        algebra = _at(dl, MatrixAlgebra, center, n)
         if inv_name == "hermitian":
             if cfg.etale is None:
                 _fail(il, "hermitian involution needs an [etale] section")
             hlit, hl = sec.get("h", ("identity", il))
             h = _parse_matrix(center, n, hlit, hl)
-            involution = hermitian_involution(algebra, h)
+            involution = _at(hl, hermitian_involution, algebra, h)
         elif inv_name == "transpose":
-            involution = transpose_involution(algebra)
+            involution = _at(il, transpose_involution, algebra)
         elif inv_name == "adjoint":
             glit, gl = sec.get("g", (None, il))
             if glit is None:
                 _fail(il, "adjoint involution needs `g`")
             g = _parse_matrix(center, n, glit, gl)
-            involution = adjoint_involution(algebra, g)
+            involution = _at(gl, adjoint_involution, algebra, g)
         elif inv_name == "none":
             involution = None
         else:
@@ -234,9 +242,11 @@ def _build_algebra(cfg: ExperimentConfig, sec):
             _fail(fl, "quaternion form needs `a` and `b`")
         a = _want_int(alit, al, "a")
         b = _want_int(blit, bl, "b")
-        algebra = quaternion_table(cfg.ring, a, b)
+        # the builder refuses a parameter that is not a unit: name the first
+        at = bl if cfg.ring.is_unit_p(cfg.ring.int_p(a)) else al
+        algebra = _at(at, quaternion_table, cfg.ring, a, b)
         if inv_name == "conjugation":
-            involution = quaternion_conjugation(algebra)
+            involution = _at(il, quaternion_conjugation, algebra)
         elif inv_name == "none":
             involution = None
         else:
@@ -262,7 +272,8 @@ def _build_algebra(cfg: ExperimentConfig, sec):
                     _fail(gl, f"gamma entry ({i},{j}) needs {rank} coordinates")
                 row.append(tuple(base.int_p(_want_int(v, gl, "gamma")) for v in vec))
             gamma.append(tuple(row))
-        algebra = TableAlgebra(base, tuple(gamma), unit_index=unit)
+        algebra = _at(gl if 0 <= unit < rank else ul,
+                      TableAlgebra, base, tuple(gamma), unit)
         if inv_name != "none":
             _fail(il, "table form takes involution = none in configs")
         involution = None
@@ -271,7 +282,7 @@ def _build_algebra(cfg: ExperimentConfig, sec):
 
     cfg.algebra = algebra
     if involution is not None:
-        cfg.awi = AlgebraWithInvolution(algebra, involution)
+        cfg.awi = _at(il, AlgebraWithInvolution, algebra, involution)
 
 
 def _parse_task_line(value: str, lineno: int):
@@ -316,13 +327,7 @@ def parse_config(text: str) -> ExperimentConfig:
         except ExactAlgebraError as e:
             _fail(sl, str(e))
     if "algebra" in sections:
-        try:
-            _build_algebra(cfg, sections["algebra"])
-        except ConfigError:
-            raise
-        except ExactAlgebraError as e:
-            first = min(l for _, l in sections["algebra"].values())
-            _fail(first, str(e))
+        _build_algebra(cfg, sections["algebra"])
     if "run" in sections:
         seed_lit, sl = sections["run"].get("seed", (None, 0))
         if seed_lit is not None:
@@ -558,10 +563,10 @@ def run_task(name: str, params: dict, cfg: ExperimentConfig, seed: int,
         metrics = {}
         for ename, c in presets.etale_family():
             ext = etale_extension(c)
+            base_id = FiniteFreeExtension.identity(c.base)
             for d in dlist:
                 lin = functor_linear(None, ext, d)
                 metrics[f"{ename}-linear-d{d}"] = lin.order
-                base_id = FiniteFreeExtension.identity(c.base)
                 uni = functor_unitary(c, base_id, d)
                 metrics[f"{ename}-unitary-d{d}"] = uni.order
         return ReportRecord(name, "PASS", metrics,

@@ -1,14 +1,16 @@
 """Unit, unitary and special groups; reduced-norm images; functor values.
 
-Quotients of finite abelian unit groups are explicit coset decompositions,
-split one cyclic factor at a time.  No generic group-theory engine:
-everything here is enumeration over small finite rings.
+Quotients of finite abelian unit groups take their order by Lagrange from
+two verified groups, and are explicit coset decompositions built on first
+use, split one cyclic factor at a time by merging cosets.  Each ring
+records the groups it has verified, so a group met again is not closed
+again.  No generic group-theory engine: everything here is enumeration over
+small finite rings.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 
 from .algebras import (Algebra, AlgebraElem, AlgebraWithInvolution,
                        MatrixAlgebra, extend_awi, nrd_data as algebra_nrd,
@@ -202,8 +204,18 @@ def _check_subgroup(ring: Ring, members) -> None:
     before g is g*x, reached from g.  The closure then equals the member
     set, and a finite submonoid of a finite unit group is a subgroup, so
     the verdict is exact at about |M| * log2|M| products instead of |M|^2.
+
+    An accepted set is recorded in the plain attribute ring._subgroups and
+    is not closed again on that ring.  A rejected set is never recorded, so
+    it raises on every call; the record holds only subgroups of the ring's
+    units and is freed with the ring.
     """
-    mem = set(members)
+    mem = frozenset(members)
+    verified = getattr(ring, "_subgroups", None)
+    if verified is None:
+        verified = ring._subgroups = set()
+    if mem in verified:
+        return
     one = ring.one_p()
     if one not in mem:
         raise ExactAlgebraError("not a subgroup: 1 is not a member")
@@ -226,46 +238,70 @@ def _check_subgroup(ring: Ring, members) -> None:
                 if y not in reached:
                     reached.add(y)
                     todo.append(y)
+    verified.add(mem)
 
 
 class FiniteAbelianPresentation:
     """A finite abelian group of ring units modulo a designated subgroup.
 
-    Elements and the subgroup are payload sets over one ring; the quotient
-    is materialized as cosets keyed by their minimal representative.  Both
-    sets are verified to be groups by _check_subgroup, which closes each
-    from 1 under a few generators drawn from the set itself.  The invariant
-    factors come from a chain of such presentations, each the quotient of
-    the last by a cyclic subgroup of largest order.
+    Elements and the subgroup are payload sets over one ring.  Both are
+    verified to be groups by _check_subgroup, which closes each from 1
+    under a few generators drawn from the set itself and records on the
+    ring the sets it accepts, so a group met again is not closed again.
+    The subgroup lies in the group, so the order of the quotient is
+    |members| / |subgroup| by Lagrange.  The cosets, keyed by their minimal
+    representative, are built the first time cosets, rep, op or identity
+    is read, and that build checks their number against the order.  The
+    invariant factors come from a chain of quotients, each by a cyclic
+    subgroup of largest order, whose cosets are merged from the last ones.
     """
 
     def __init__(self, ring: Ring, members, subgroup=None):
         self.ring = ring
-        self.members = sorted(set(members), key=ring.encode)
-        if subgroup is None:
-            subgroup = [ring.one_p()]
-        self.subgroup = sorted(set(subgroup), key=ring.encode)
+        self.members = frozenset(members)
+        self.subgroup = frozenset([ring.one_p()] if subgroup is None else subgroup)
         _check_subgroup(ring, self.members)
-        if not set(self.subgroup) <= set(self.members):
+        if not self.subgroup <= self.members:
             raise ExactAlgebraError("subgroup member outside the group")
         _check_subgroup(ring, self.subgroup)
-        self._coset_of = {}
-        self.cosets = []
-        for g in self.members:
-            if g in self._coset_of:
-                continue
-            coset = sorted((ring.mul_p(g, h) for h in self.subgroup),
-                           key=ring.encode)
-            rep = coset[0]
-            for m in coset:
-                self._coset_of[m] = rep
-            self.cosets.append((rep, tuple(coset)))
-        self.order = len(self.cosets)
-        self.identity = self._coset_of[ring.one_p()]
+        self.order = len(self.members) // len(self.subgroup)
+        self._coset_of = None
+
+    def _table(self):
+        """member -> coset representative, building the cosets on first use."""
+        if self._coset_of is None:
+            ring = self.ring
+            coset_of, cosets = {}, []
+            for g in sorted(self.members, key=ring.encode):
+                if g in coset_of:
+                    continue
+                coset = sorted((ring.mul_p(g, h) for h in self.subgroup),
+                               key=ring.encode)
+                rep = coset[0]
+                for m in coset:
+                    coset_of[m] = rep
+                cosets.append((rep, tuple(coset)))
+            if len(cosets) != self.order:
+                raise ExactAlgebraError("coset count differs from the order")
+            self._cosets = cosets
+            self._identity = coset_of[ring.one_p()]
+            self._coset_of = coset_of
+        return self._coset_of
+
+    @property
+    def cosets(self):
+        """(representative, sorted members) per coset, by representative."""
+        self._table()
+        return self._cosets
+
+    @property
+    def identity(self):
+        self._table()
+        return self._identity
 
     # -- quotient-group operations -------------------------------------------
     def rep(self, payload):
-        got = self._coset_of.get(payload)
+        got = self._table().get(payload)
         if got is None:
             raise ExactAlgebraError("payload is not a group member")
         return got
@@ -279,29 +315,46 @@ class FiniteAbelianPresentation:
 
         In a finite abelian group a cyclic subgroup <g> of largest order e is
         a direct summand, so the factors are those of the quotient by <g>,
-        followed by e.  g is the first coset representative of largest
-        order; the quotient is again a verified presentation.
+        followed by e; g is the first coset representative of largest order.
+        Each quotient is merged from the last one: its subgroup K, the union
+        of the cosets in <g>, is checked by _check_subgroup, and the coset
+        x*K is the union of the cosets of x*g^i.  Representatives are taken
+        in ascending order, so the first one met of each new coset is its
+        least member.  Lagrange fixes the number of new cosets, which is
+        checked, so the loop ends and the factors multiply to the order.
         """
-        if self.order == 1:
-            return []
-        cycle, seen = [], set()
-        for g, _ in self.cosets:
-            # a power of an earlier representative has no larger order
-            if g in seen:
-                continue
-            powers = [g]
-            while powers[-1] != self.identity:
-                powers.append(self.op(powers[-1], g))
-            seen.update(powers)
-            if len(powers) > len(cycle):
-                cycle = powers
-        reps = set(cycle)
-        sub = [m for rep, coset in self.cosets if rep in reps for m in coset]
-        factors = FiniteAbelianPresentation(self.ring, self.members, sub).elementary_divisors
-        factors.append(len(cycle))
-        if math.prod(factors) != self.order:
-            raise ExactAlgebraError("invariant factors do not multiply to the order")
-        return factors
+        ring, mul = self.ring, self.ring.mul_p
+        one = ring.one_p()
+        coset_of = self._table()
+        reps = [r for r, _ in self._cosets]
+        factors = []
+        while len(reps) > 1:
+            identity = coset_of[one]
+            cycle, seen = [], set()
+            for g in reps:
+                # a power of an earlier representative has no larger order
+                if g in seen:
+                    continue
+                powers = [g]
+                while powers[-1] != identity:
+                    powers.append(coset_of[mul(powers[-1], g)])
+                seen.update(powers)
+                if len(powers) > len(cycle):
+                    cycle = powers
+            in_cycle = set(cycle)
+            _check_subgroup(ring, [m for m, r in coset_of.items() if r in in_cycle])
+            merged, kept = {}, []
+            for x in reps:
+                if x not in merged:
+                    kept.append(x)
+                    for c in cycle:
+                        merged[coset_of[mul(x, c)]] = x
+            if len(kept) * len(cycle) != len(reps):
+                raise ExactAlgebraError("merged cosets do not match the order")
+            coset_of = {m: merged[r] for m, r in coset_of.items()}
+            reps = kept
+            factors.append(len(cycle))
+        return factors[::-1]
 
     def __repr__(self):
         return (f"FiniteAbelianPresentation(order {self.order}, "
@@ -343,7 +396,7 @@ def functor_unitary(a, ext, d: int) -> FiniteAbelianPresentation:
     if d < 0:
         raise ExactAlgebraError("d must be nonnegative")
     if isinstance(a, QuadraticEtale):
-        CT, _ = a.extend_scalars(ext.total, ext.embed_p)
+        CT, _ = ext.extended_center(a)
         nrdset = {CT.one_p()}
     else:
         if a.kind != "unitary":

@@ -45,6 +45,7 @@ class FiniteFreeExtension:
             raise ExactAlgebraError("embedding is not unital")
         self._check_coords(coords_p, self._check_embedding_hom())
         self.coords_p = coords_p
+        self._centers = {}
 
     def _check_embedding_hom(self):
         """Raise unless embed_p is a ring homomorphism base -> total; returns S.
@@ -117,6 +118,14 @@ class FiniteFreeExtension:
             raise ExactAlgebraError("basis does not span the extension")
         return table
 
+    def extended_center(self, c: QuadraticEtale) -> tuple:
+        """(c tensor total, c -> c tensor 1), built once per center c, so
+        the circle of the extended center is listed and verified once."""
+        got = self._centers.get(c)
+        if got is None:
+            got = self._centers[c] = c.extend_scalars(self.total, self.embed_p)
+        return got
+
     # -- the norm ---------------------------------------------------------
     def mult_matrix(self, t_payload) -> RingMatrix:
         return RingMatrix.from_columns(
@@ -179,7 +188,7 @@ def center_extension(C: QuadraticEtale, ext: FiniteFreeExtension) -> tuple:
     Returns (CT, extension CT over C), with the basis of ext in the first
     coordinate, so its norm carries values in CT down to C.
     """
-    CT, embed_c = C.extend_scalars(ext.total, ext.embed_p)
+    CT, embed_c = ext.extended_center(C)
     zt = ext.total.zero_p()
     basis_c = [(b, zt) for b in ext.basis]
     # u + v*sqrt(s) = sum (x_k + y_k*sqrt(s)) b_k for u = sum x_k b_k, v = sum y_k b_k

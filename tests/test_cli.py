@@ -309,11 +309,11 @@ def test_quaternion_involution_is_conjugation_or_none(tmp_path, capsys):
         "", "config error: line 9: unknown involution 'transpose' for quaternion form\n")
 
 
-def test_form_that_is_not_hermitian_exits_two_at_the_first_algebra_key(tmp_path, capsys):
-    # the involution builder's error is placed on `form`, line 10, not on `h`
+def test_form_that_is_not_hermitian_exits_two_at_the_h_key(tmp_path, capsys):
+    # the involution builder's error is placed on `h`, line 13, not on `form`
     path = write(tmp_path, UNITARY_CFG.replace("h = identity", "h = 0,1;2,0"))
     assert cli.main(["run", "--config", path]) == 2
-    assert capsys.readouterr() == ("", "config error: line 10: h is not hermitian\n")
+    assert capsys.readouterr() == ("", "config error: line 13: h is not hermitian\n")
 
 
 def test_unwritable_report_exits_two_after_the_check_lines(tmp_path, capsys):
@@ -370,6 +370,37 @@ def test_survey_deterministic(tmp_path, capsys):
     rec = json.loads(r1.read_text().splitlines()[0])
     assert rec["metrics"]["f3i-linear-d0"] == 8
     assert rec["metrics"]["f3i-unitary-d0"] == 4
+
+
+# the quaternion config of the transfer benchmark: (-1, -1) over F3 with
+# [etale] s = -1, and the line its survey prints
+SURVEY_CFG = QUATERNION_F5_ETALE_CFG.replace("modulus = 5", "modulus = 3").replace(
+    "s = 2", "s = -1").replace("axioms which=norm-inclusion", "survey d=0,1,2,3")
+SURVEY_LINE = (
+    "CHECK survey PASS f3i-linear-d0=8 f3i-linear-d1=1 f3i-linear-d2=2 "
+    "f3i-linear-d3=1 f3i-unitary-d0=4 f3i-unitary-d1=1 f3i-unitary-d2=2 "
+    "f3i-unitary-d3=1 f3split-linear-d0=4 f3split-linear-d1=1 "
+    "f3split-linear-d2=4 f3split-linear-d3=1 f3split-unitary-d0=2 "
+    "f3split-unitary-d1=1 f3split-unitary-d2=2 f3split-unitary-d3=1 "
+    "f5split-linear-d0=16 f5split-linear-d1=1 f5split-linear-d2=4 "
+    "f5split-linear-d3=1 f5split-unitary-d0=4 f5split-unitary-d1=1 "
+    "f5split-unitary-d2=2 f5split-unitary-d3=1 f5sqrt2-linear-d0=24 "
+    "f5sqrt2-linear-d1=1 f5sqrt2-linear-d2=2 f5sqrt2-linear-d3=3 "
+    "f5sqrt2-unitary-d0=6 f5sqrt2-unitary-d1=1 f5sqrt2-unitary-d2=2 "
+    "f5sqrt2-unitary-d3=3 f7sqrt3-linear-d0=48 f7sqrt3-linear-d1=1 "
+    "f7sqrt3-linear-d2=2 f7sqrt3-linear-d3=3 f7sqrt3-unitary-d0=8 "
+    "f7sqrt3-unitary-d1=1 f7sqrt3-unitary-d2=2 f7sqrt3-unitary-d3=1 "
+    "f9gen-linear-d0=80 f9gen-linear-d1=1 f9gen-linear-d2=2 "
+    "f9gen-linear-d3=1 f9gen-unitary-d0=10 f9gen-unitary-d1=1 "
+    "f9gen-unitary-d2=2 f9gen-unitary-d3=1 z9sqrt2-linear-d0=72 "
+    "z9sqrt2-linear-d1=1 z9sqrt2-linear-d2=2 z9sqrt2-linear-d3=9 "
+    "z9sqrt2-unitary-d0=12 z9sqrt2-unitary-d1=1 z9sqrt2-unitary-d2=2 "
+    "z9sqrt2-unitary-d3=3\n")
+
+
+def test_survey_bytes_on_the_quaternion_config_frozen(tmp_path, capsys):
+    assert cli.main(["run", "--config", write(tmp_path, SURVEY_CFG)]) == 0
+    assert capsys.readouterr().out == SURVEY_LINE
 
 
 def test_removed_flags_exit_two(tmp_path, capsys):
@@ -610,6 +641,20 @@ def test_adjoint_involution_needs_g(tmp_path, capsys):
     assert cli.main(["groups", "--config", path, "which=U"]) == 2
     assert capsys.readouterr().err == \
         "config error: line 8: adjoint involution needs `g`\n"
+
+
+@pytest.mark.parametrize("cfg, err", [
+    (QUATERNION_CFG.replace("a = 2", "a = 0"), "line 7: quaternion parameters must be units"),
+    (QUATERNION_CFG.replace("b = 3", "b = 5"), "line 8: quaternion parameters must be units"),
+    (ADJOINT_CFG.replace("g = 0,1;-1,0", "g = 1,1;1,1"), "line 9: g must be invertible"),
+    (TABLE_CFG.replace("unit = 0", "unit = 7"), "line 9: unit index out of range"),
+    (TABLE_CFG.replace("0:1:0:0,2:0:0:0", "0:1:0:0,1:0:0:0"),
+     "line 8: structure table not associative at (1,1,2)"),
+], ids=["quaternion-a", "quaternion-b", "adjoint-g", "table-unit", "table-gamma"])
+def test_algebra_builder_errors_name_the_key_they_read(cfg, err):
+    with pytest.raises(ConfigError) as got:
+        parse_config(cfg)
+    assert str(got.value) == err
 
 
 Z9_DEGREE_ONE_CFG = """\

@@ -1,10 +1,12 @@
 """Unitary and norm-one groups by enumeration, reduced-norm images, and
 finite abelian quotients with their invariant factors."""
 
+import gc
 import io
 import itertools
 import math
 import random
+import weakref
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -559,6 +561,122 @@ def test_presentation_rejects_non_groups():
         FiniteAbelianPresentation(z9, [z9.int_p(1), z9.int_p(3)])
     with pytest.raises(ExactAlgebraError):
         FiniteAbelianPresentation(z9, [z9.int_p(1), z9.int_p(2)])  # not closed
+    # both are groups, but the subgroup does not lie in the group
+    with pytest.raises(ExactAlgebraError, match="outside the group"):
+        FiniteAbelianPresentation(z9, [1, 8], [1, 2, 4, 5, 7, 8])
+
+
+# -- the lazy cosets and the record of verified groups against eager builds --------
+
+def _eager_cosets(ring, members, subgroup):
+    """(representative, sorted members) per coset, built at once from scratch."""
+    out, seen = [], set()
+    for g in sorted(set(members), key=ring.encode):
+        if g not in seen:
+            coset = tuple(sorted({ring.mul_p(g, h) for h in subgroup}, key=ring.encode))
+            seen.update(coset)
+            out.append((coset[0], coset))
+    return out
+
+
+def _assert_matches_eager(pres):
+    ring = pres.ring
+    eager = _eager_cosets(ring, pres.members, pres.subgroup)
+    rep_of = {m: r for r, coset in eager for m in coset}
+    # the Lagrange order is read before any coset is built
+    assert pres._coset_of is None and pres.order == len(eager)
+    assert pres.cosets == eager and pres.identity == rep_of[ring.one_p()]
+    assert all(pres.rep(m) == r for m, r in rep_of.items())
+    reps = [r for r, _ in eager]
+    # every representative times about eight of them spread over the list
+    assert all(pres.op(a, b) == rep_of[ring.mul_p(a, b)]
+               for a in reps for b in reps[::max(1, len(reps) // 8)])
+
+
+def _power_quotients(c, ext, identity, d):
+    return functor_linear(None, ext, d), functor_unitary(c, identity, d)
+
+
+@pytest.mark.parametrize("name", presets.ETALE_NAMES)
+def test_lazy_cosets_match_an_eager_build_on_the_etale_presets(name):
+    # survey's sharing: one preset, extension and identity over every d
+    c = presets.etale_preset(name)
+    ext, identity = etale_extension(c), FiniteFreeExtension.identity(c.base)
+    for d in range(5):
+        shared = _power_quotients(c, ext, identity, d)
+        for pres in shared:
+            _assert_matches_eager(pres)
+        f = presets.etale_preset(name)
+        fresh = _power_quotients(f, etale_extension(f), FiniteFreeExtension.identity(f.base), d)
+        assert [(q.order, q.elementary_divisors) for q in shared] == \
+            [(q.order, q.elementary_divisors) for q in fresh]
+    assert len(identity._centers) == 1
+
+
+@pytest.mark.parametrize("d", [0, 2, 3])
+def test_lazy_cosets_match_an_eager_build_on_the_crt_cases(d):
+    for n in range(3, 402, 2):
+        zn = Zmod(n)
+        units = [u for u in range(n) if math.gcd(u, n) == 1]
+        _assert_matches_eager(FiniteAbelianPresentation(zn, units, {pow(u, d, n) for u in units}))
+
+
+def test_rejected_set_raises_on_every_call():
+    z9 = Zmod(9)
+    for _ in range(2):
+        with pytest.raises(ExactAlgebraError, match="not closed"):
+            FiniteAbelianPresentation(z9, [1, 2])
+        with pytest.raises(ExactAlgebraError, match="not closed"):
+            FiniteAbelianPresentation(z9, [1, 2, 4, 5, 7, 8], [1, 2])
+    assert frozenset([1, 2]) not in z9._subgroups
+
+
+def _counting_products(ring):
+    calls = []
+    real = ring.mul_p
+
+    def mul_p(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    ring.mul_p = mul_p
+    return calls
+
+
+def test_accepted_set_is_closed_once_per_ring_object():
+    units = [1, 2, 4, 5, 7, 8]
+    first, second = Zmod(9), Zmod(9)
+    assert first == second
+    FiniteAbelianPresentation(first, units)
+    for ring in (first, second):
+        calls = _counting_products(ring)
+        FiniteAbelianPresentation(ring, units)
+        # the equal ring built separately keeps no record of the first one
+        assert bool(calls) == (ring is second)
+        calls.clear()
+        FiniteAbelianPresentation(ring, units)
+        assert not calls
+
+
+def test_record_holds_only_accepted_sets_and_dies_with_its_ring():
+    ring = presets.etale_preset("f5split")
+    units = [u.payload for u in ring.units()]
+    tried = [units, [ring.one_p()], units[:3], {ring.mul_p(u, u) for u in units},
+             {ring.pow_p(u, 4) for u in units}]
+    for subset in tried:
+        try:
+            FiniteAbelianPresentation(ring, subset)
+        except ExactAlgebraError:
+            pass
+    closed = [frozenset(s) for s in tried if _all_pairs_closure(ring, s) == set(s)]
+    assert len(closed) == 4
+    assert ring._subgroups == set(closed)
+    pres = FiniteAbelianPresentation(ring, units)
+    pres.elementary_divisors
+    alive = weakref.ref(ring)
+    del ring, pres
+    gc.collect()
+    assert alive() is None
 
 
 # -- functor values ---------------------------------------------------------------
