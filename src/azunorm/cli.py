@@ -95,8 +95,9 @@ def _fail(lineno: int, msg: str):
 
 
 def _parse_sections(text: str):
-    """Raw pass: sections -> {key: (value, lineno)}, tasks kept in order."""
-    sections = {}
+    """Raw pass: sections -> {key: (value, lineno)}, each section's header
+    line, and the tasks in order."""
+    sections, heads = {}, {}
     tasks = []
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -109,7 +110,7 @@ def _parse_sections(text: str):
                 _fail(lineno, f"unknown section [{name}]")
             if name in sections or (name == "tasks" and tasks):
                 _fail(lineno, f"duplicate section [{name}]")
-            sections.setdefault(name, {})
+            sections[name], heads[name] = {}, lineno
             current = name
             continue
         if "=" not in line:
@@ -125,7 +126,7 @@ def _parse_sections(text: str):
         if key in sections[current]:
             _fail(lineno, f"duplicate key {key!r}")
         sections[current][key] = (value, lineno)
-    return sections, tasks
+    return sections, heads, tasks
 
 
 def _want_int(value: str, lineno: int, what: str) -> int:
@@ -135,10 +136,10 @@ def _want_int(value: str, lineno: int, what: str) -> int:
         _fail(lineno, f"{what} must be an integer, got {value!r}")
 
 
-def _build_ring(sec):
-    kind, kl = sec.get("kind", (None, 0))
+def _build_ring(sec, head: int):
+    kind, kl = sec.get("kind", (None, head))
     if kind is None:
-        _fail(1, "section [ring] needs `kind`")
+        _fail(kl, "section [ring] needs `kind`")
     mod, ml = sec.get("modulus", (None, 0))
     if mod is None:
         _fail(kl, "section [ring] needs `modulus`")
@@ -200,10 +201,10 @@ def _at(lineno: int, build, *args):
         _fail(lineno, str(e))
 
 
-def _build_algebra(cfg: ExperimentConfig, sec):
-    form, fl = sec.get("form", (None, 0))
+def _build_algebra(cfg: ExperimentConfig, sec, head: int):
+    form, fl = sec.get("form", (None, head))
     if form is None:
-        _fail(1, "section [algebra] needs `form`")
+        _fail(fl, "section [algebra] needs `form`")
     inv_name, il = sec.get("involution", ("none", fl))
 
     if form == "split":
@@ -312,22 +313,22 @@ def _task_params(name: str, tokens, lineno: int) -> dict:
 
 def parse_config(text: str) -> ExperimentConfig:
     """Validate a config; the first problem raises ConfigError with its line."""
-    sections, task_lines = _parse_sections(text)
+    sections, heads, task_lines = _parse_sections(text)
     cfg = ExperimentConfig()
     if "ring" not in sections:
         raise ConfigError("line 1: missing [ring] section")
-    cfg.ring = _build_ring(sections["ring"])
+    cfg.ring = _build_ring(sections["ring"], heads["ring"])
     if "etale" in sections:
-        slit, sl = sections["etale"].get("s", (None, 0))
+        slit, sl = sections["etale"].get("s", (None, heads["etale"]))
         if slit is None:
-            _fail(sl or 1, "section [etale] needs `s`")
+            _fail(sl, "section [etale] needs `s`")
         s = _want_int(slit, sl, "s")
         try:
             cfg.etale = QuadraticEtale(cfg.ring, s)
         except ExactAlgebraError as e:
             _fail(sl, str(e))
     if "algebra" in sections:
-        _build_algebra(cfg, sections["algebra"])
+        _build_algebra(cfg, sections["algebra"], heads["algebra"])
     if "run" in sections:
         seed_lit, sl = sections["run"].get("seed", (None, 0))
         if seed_lit is not None:

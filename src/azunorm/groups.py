@@ -1,11 +1,12 @@
 """Unit, unitary and special groups; reduced-norm images; functor values.
 
-Quotients of finite abelian unit groups take their order by Lagrange from
-two verified groups, and are explicit coset decompositions built on first
-use, split one cyclic factor at a time by merging cosets.  Each ring
-records the groups it has verified, so a group met again is not closed
-again.  No generic group-theory engine: everything here is enumeration over
-small finite rings.
+A unitary group is one checked stream, walked depth first, and read only
+as far as each consumer needs.  Quotients of finite abelian unit groups
+take their order by Lagrange from two verified groups, and are explicit
+coset decompositions built on first use, split one cyclic factor at a
+time by merging cosets.  Each ring records the groups it has verified, so
+a group met again is not closed again.  No generic group-theory engine:
+everything here is enumeration over small finite rings.
 """
 
 from __future__ import annotations
@@ -20,59 +21,63 @@ from .rings import ClassificationError, ExactAlgebraError, Ring, RingElem
 
 
 def enumerate_unitary(awi: AlgebraWithInvolution):
-    """All a with a*sigma(a) = 1, in canonical element order.
-
-    An involution adjoint to a recorded form (from hermitian_involution or
-    adjoint_involution, also after extend_awi) is enumerated by orthonormal
-    frames, each re-checked through the involution matrix; table
-    involutions, which carry no form, are swept.  The group is listed once
-    per involution: its sorted payloads stay in awi._unitary, and every
-    call returns fresh wrappers.
-    """
+    """All a with a*sigma(a) = 1, in canonical element order, read from
+    _unitary_p once per involution: the sorted payloads stay in
+    awi._unitary, and every call returns fresh wrappers."""
     alg = awi.algebra
     if awi._unitary is None:
-        form = awi.involution.form
-        if form is None:
-            found = [p for p in alg.elements_p() if awi.is_unitary_p(p)]
-        else:
-            found = sorted(_frames_p(alg, *form), key=alg.encode)
-            if not all(awi.is_unitary_p(p) for p in found):
-                raise ExactAlgebraError("frame is not unitary under the involution matrix")
-        awi._unitary = found
+        awi._unitary = sorted(_unitary_p(awi), key=alg.encode)
     return [AlgebraElem(alg, p) for p in awi._unitary]
 
 
+def _unitary_p(awi: AlgebraWithInvolution):
+    """Each unitary payload once, as awi.is_unitary_p accepts it.  An
+    involution adjoint to a recorded form (hermitian_involution or
+    adjoint_involution, also after extend_awi) is walked by frames, and a
+    frame it rejects raises; table involutions carry no form and are swept."""
+    alg, form = awi.algebra, awi.involution.form
+    for p in alg.elements_p() if form is None else _frames_p(alg, *form):
+        if awi.is_unitary_p(p):
+            yield p
+        elif form is not None:
+            raise ExactAlgebraError("frame is not unitary under the involution matrix")
+
+
 def _frames_p(alg: MatrixAlgebra, gram, conj):
-    """Payloads of all a with conj(a)^T * gram * a = gram, column by column.
+    """Payloads of all a with conj(a)^T * gram * a = gram, depth first.
 
     With form(v, w) = conj(v)^T * gram * w, column j must satisfy
     form(a_i, v) = gram_ij for each earlier column a_i, a linear condition
     with row conj(a_i)^T * gram that _solve_p solves, and form(v, v) =
-    gram_jj, tested on each solution.  For a unitary a, conj(a)^T * gram
-    is invertible, so a partial frame whose rows do not complete to an
-    invertible matrix has no extension and is dropped.  The involution
-    constructors only record gram with conj(gram)^T = +-gram, so
-    form(v, a_i) = gram_ji follows.  No field assumption is used.
+    gram_jj, tested on each solution.  A partial frame is completed before
+    the next is tried; row and form(v, v) are filled when v first appears.
+    For a unitary a, conj(a)^T * gram is invertible, so a partial frame
+    whose rows do not complete to an invertible matrix has no extension and
+    is dropped.  The involution constructors only record gram with
+    conj(gram)^T = +-gram, so form(v, a_i) = gram_ji follows.  No field
+    assumption is used.
     """
-    C = alg.center
-    n = alg.n
-    h = gram.cells
+    C, n, h = alg.center, alg.n, gram.cells
     zero = C.zero_p()
     conj = conj or (lambda x: x)
     elems = list(C.elements_p())
     # row[v] = conj(v)^T * gram, so that form(v, w) = row[v] . w
     row, norm = {}, {}
-    for v in itertools.product(elems, repeat=n):
-        r = row[v] = tuple(_lin(C, zero, [conj(x) for x in v], h[k::n]) for k in range(n))
-        norm[v] = _lin(C, zero, r, v)
-    frames = [()]
-    for j in range(n):
-        target, rhs = h[j * n + j], h[j:j * n:n]
-        frames = [cols + (v,) for cols in frames
-                  for v in _solve_p(C, elems, [row[c] for c in cols], rhs, n)
-                  if norm[v] == target]
-    for cols in frames:
-        yield tuple(cols[j][i] for i in range(n) for j in range(n))
+
+    def frames(cols):
+        j = len(cols)
+        if j == n:
+            yield tuple(cols[c][i] for i in range(n) for c in range(n))
+            return
+        for v in _solve_p(C, elems, [row[c] for c in cols], h[j:j * n:n], n):
+            if v not in norm:
+                r = row[v] = tuple(_lin(C, zero, [conj(x) for x in v], h[k::n])
+                                   for k in range(n))
+                norm[v] = _lin(C, zero, r, v)
+            if norm[v] == h[j * n + j]:
+                yield from frames(cols + (v,))
+
+    yield from frames(())
 
 
 def _solve_p(C: Ring, elems, rows, rhs, n: int):
@@ -181,15 +186,18 @@ def nrd_unit_image(algebra: Algebra):
     if isinstance(algebra, MatrixAlgebra):
         return set(algebra.center.units_p())
     C = algebra.cdata.ring
-    center_units = set(C.units_p())
+    # over an Azumaya algebra x is a unit exactly when nrd(x) is
+    norms = (algebra_nrd(algebra, p).payload for p in algebra.elements_p())
+    return _saturate((v for v in norms if C.is_unit_p(v)), set(C.units_p()))
+
+
+def _saturate(values, bound):
+    """The values read until their set equals bound; one outside it reads all."""
     out = set()
-    for p in algebra.elements_p():
-        # over an Azumaya algebra x is a unit exactly when nrd(x) is
-        nv = algebra_nrd(algebra, p).payload
-        if C.is_unit_p(nv):
-            out.add(nv)
-            if out == center_units:
-                break
+    for v in values:
+        out.add(v)
+        if out == bound:
+            break
     return out
 
 
@@ -372,18 +380,14 @@ def functor_linear(algebra, ext, d: int) -> FiniteAbelianPresentation:
     if d < 0:
         raise ExactAlgebraError("d must be nonnegative")
     T = ext.total
-    units = T.units_p()
-    powd = {T.pow_p(u, d) for u in units}
-    if algebra is None:
-        sub = powd
-    else:
+    nrdset = {T.one_p()}
+    if algebra is not None:
         alg_t, _ = scalar_extension(algebra, ext)
         nrdset = nrd_unit_image(alg_t)
         C = alg_t.cdata.ring
         if isinstance(C, QuadraticEtale) and C.base == T:
             nrdset = {C.norm_p(n) for n in nrdset}
-        sub = {T.mul_p(n, p) for n in nrdset for p in powd}
-    return FiniteAbelianPresentation(T, units, sub)
+    return _quotient(T, T.units_p(), nrdset, d)
 
 
 def functor_unitary(a, ext, d: int) -> FiniteAbelianPresentation:
@@ -391,20 +395,26 @@ def functor_unitary(a, ext, d: int) -> FiniteAbelianPresentation:
 
     a is a unitary AlgebraWithInvolution (honest norm subgroup) or a
     QuadraticEtale (no algebra: the pure power quotient of the norm-one
-    circle).
+    circle).  nrd(sigma(x)) = conj(nrd(x)) puts nrd(U) in the circle, so U is
+    walked until its norms fill it; a value off it is read and rejected.
     """
     if d < 0:
         raise ExactAlgebraError("d must be nonnegative")
     if isinstance(a, QuadraticEtale):
         CT, _ = ext.extended_center(a)
-        nrdset = {CT.one_p()}
+        nrds = [CT.one_p()]
     else:
         if a.kind != "unitary":
             raise ClassificationError("unitary functor needs a unitary involution")
         awi_t, _ = extend_awi(a, ext)
         CT = awi_t.center_ring
-        nrdset = {awi_t.nrd_p(u.payload) for u in enumerate_unitary(awi_t)}
+        nrds = (awi_t.nrd_p(p) for p in _unitary_p(awi_t))
     members = [c.payload for c in CT.unitary_scalars()]
-    powd = {CT.pow_p(g, d) for g in members}
-    sub = {CT.mul_p(n, p) for n in nrdset for p in powd}
-    return FiniteAbelianPresentation(CT, members, sub)
+    return _quotient(CT, members, _saturate(nrds, set(members)), d)
+
+
+def _quotient(ring: Ring, members, norms, d: int) -> FiniteAbelianPresentation:
+    """members modulo the products of norms with d-th powers of members."""
+    powd = {ring.pow_p(g, d) for g in members}
+    sub = {ring.mul_p(n, p) for n in norms for p in powd}
+    return FiniteAbelianPresentation(ring, members, sub)

@@ -147,6 +147,21 @@ def test_parse_error_missing_ring():
     assert "missing [ring]" in str(e.value)
 
 
+@pytest.mark.parametrize("text, err", [
+    ("# no kind\n\n[ring]\nmodulus = 3\n", "line 3: section [ring] needs `kind`"),
+    ("[ring]\nkind = prime\nmodulus = 3\n\n[etale]\n", "line 5: section [etale] needs `s`"),
+    ("[ring]\nkind = prime\nmodulus = 3\n[etale]\ns = -1\n\n[algebra]\ndegree = 2\n",
+     "line 7: section [algebra] needs `form`"),
+    ("\n[tasks]\ntask = verify-azumaya\n", "line 1: missing [ring] section"),
+], ids=["ring-kind", "etale-s", "algebra-form", "missing-ring"])
+def test_missing_required_key_names_its_section_line(tmp_path, capsys, text, err):
+    with pytest.raises(ConfigError) as got:
+        parse_config(text)
+    assert str(got.value) == err
+    assert cli.main(["run", "--config", write(tmp_path, text)]) == 2
+    assert capsys.readouterr().err == f"config error: {err}\n"
+
+
 def test_parse_error_unknown_task_param():
     bad = UNITARY_CFG.replace("task = h90-all", "task = h90-all depth=3")
     with pytest.raises(ConfigError) as e:
@@ -706,6 +721,17 @@ def test_unitary_functor_report_bytes_on_m2_f3i(tmp_path, capsys, h):
                          "kind=unitary", "ext=identity", f"d={d}"]) == 0
         assert capsys.readouterr().out == "CHECK functor PASS order=1\n"
         assert report.read_text() == _functor_record(1, "[]")
+
+
+def test_unitary_functor_check_lines_on_m2_f3i_frozen(tmp_path, capsys):
+    tasks = "".join(f"task = functor kind=unitary d={d} ext={e}\n"
+                    for e in ("etale", "identity") for d in (0, 1, 2))
+    cfg = UNITARY_CFG.replace("task = verify-azumaya\ntask = h90-all\ntask = np-bruteforce\n",
+                              tasks)
+    report = tmp_path / "r.jsonl"
+    assert cli.main(["run", "--config", write(tmp_path, cfg), "--report", str(report)]) == 0
+    assert capsys.readouterr().out == "CHECK functor PASS order=1\n" * 6
+    assert report.read_text() == _functor_record(1, "[]") * 6
 
 
 # -- fuzzed task lines ---------------------------------------------------------------

@@ -713,6 +713,119 @@ def test_unitary_functor_rejects_first_kind():
         functor_unitary(aw, FiniteFreeExtension.identity(F3), 1)
 
 
+# -- the unitary functor reads U only until nrd fills the circle --------------------
+
+def _listed_presentations(aw, ext, ds):
+    """The unitary functor at each d, built here from the fully listed
+    {nrd(u) : u in U} of the extended involution."""
+    big, _ = extend_awi(aw, ext)
+    CT = big.center_ring
+    nrds = {big.nrd_p(u.payload) for u in enumerate_unitary(big)}
+    members = [c.payload for c in CT.unitary_scalars()]
+    out = []
+    for d in ds:
+        powd = {CT.pow_p(g, d) for g in members}
+        out.append(FiniteAbelianPresentation(
+            CT, members, {CT.mul_p(n, p) for n in nrds for p in powd}))
+    return out
+
+
+def _f3split_hermitian_m2():
+    c = presets.etale_preset("f3split")
+    a = MatrixAlgebra(c, 2)
+    return AlgebraWithInvolution(a, hermitian_involution(a, RingMatrix.identity(c, 2)))
+
+
+def _hermitian_m3_f3i():
+    c = presets.etale_preset("f3i")
+    a = MatrixAlgebra(c, 3)
+    return AlgebraWithInvolution(a, hermitian_involution(a, RingMatrix.identity(c, 3)))
+
+
+WALK_CASES = ([(f"m2-f3i-{h}-{e}", lambda h=h, e=e: (
+                  presets.unitary_m2_f3i(h),
+                  _f3i_extension() if e == "etale" else FiniteFreeExtension.identity(F3)))
+               for h in presets.H_NAMES for e in ("identity", "etale")]
+              + [("m2-f5split", lambda: (presets.unitary_m2_f5split(),
+                                         FiniteFreeExtension.identity(PrimeField(5)))),
+                 ("m2-f3split", lambda: (_f3split_hermitian_m2(),
+                                         FiniteFreeExtension.identity(F3)))]
+              + [c for c in EXTENDED_CASES if c[0].startswith("deg1-")]
+              + [("m3-f3i-identity", lambda: (_hermitian_m3_f3i(),
+                                              FiniteFreeExtension.identity(F3)))])
+
+
+def _same_presentation(got, want):
+    assert got.order == want.order
+    assert got.elementary_divisors == want.elementary_divisors
+    assert got.cosets == want.cosets
+
+
+@pytest.mark.parametrize("name,build", WALK_CASES, ids=[n for n, _ in WALK_CASES])
+def test_unitary_functor_matches_the_listed_norms(name, build):
+    aw, ext = build()
+    # d = 0 compares the norm images themselves
+    ds = (0, 2)
+    for d, want in zip(ds, _listed_presentations(aw, ext, ds)):
+        _same_presentation(functor_unitary(aw, ext, d), want)
+
+
+def _counted_frames(monkeypatch):
+    counts = []
+    real = groups._frames_p
+
+    def counted(alg, *form):
+        counts.append(0)
+        for p in real(alg, *form):
+            counts[-1] += 1
+            yield p
+    monkeypatch.setattr(groups, "_frames_p", counted)
+    return counts
+
+
+@pytest.mark.parametrize("h", presets.H_NAMES)
+def test_unitary_functor_walks_to_the_end_when_the_circle_is_never_met(monkeypatch, h):
+    aw, ext = presets.unitary_m2_f3i(h), FiniteFreeExtension.identity(F3)
+    want = _listed_presentations(aw, ext, (0,))[0]
+    real = groups._saturate
+    monkeypatch.setattr(groups, "_saturate",
+                        lambda values, bound: real(values, bound | {"never a payload"}))
+    counts = _counted_frames(monkeypatch)
+    _same_presentation(functor_unitary(aw, ext, 0), want)
+    assert counts == [unitary_order(2, 3)]
+
+
+def test_saturate_stops_at_its_bound_and_keeps_values_outside_it():
+    values = iter([1, 2, 1, 3])
+    assert groups._saturate(values, {1, 2}) == {1, 2}
+    assert list(values) == [1, 3]
+    values = iter([1, 5, 2, 1])
+    assert groups._saturate(values, {1, 2}) == {1, 5, 2}
+    assert list(values) == []
+    assert groups._saturate(iter([]), {1}) == set()
+
+
+@pytest.mark.parametrize("h", presets.H_NAMES)
+def test_unitary_functor_reads_few_extended_frames(monkeypatch, h):
+    # U of M2(F3[i]) along the etale extension has 5,760 frames; the walk
+    # stops once the norms fill the 8-element circle (8 frames on the
+    # identity and diag forms, 127 on the hyperbolic one)
+    counts = _counted_frames(monkeypatch)
+    q = functor_unitary(presets.unitary_m2_f3i(h), _f3i_extension(), 0)
+    assert (q.order, q.elementary_divisors) == (1, [])
+    assert len(counts) == 1 and counts[0] < 5760 // 10
+
+
+def test_unitary_functor_of_hermitian_m3_f3i_along_the_etale_extension_frozen():
+    # 81^9 elements and U far too large to list: the walk stops once the
+    # norms fill the circle of the 81-element extended center; d = 1 is
+    # trivial for any norms, d = 0 shows that they fill the circle
+    aw, ext = _hermitian_m3_f3i(), _f3i_extension()
+    for d in (0, 1):
+        q = functor_unitary(aw, ext, d)
+        assert (q.order, q.elementary_divisors) == (1, []), d
+
+
 # -- the subgroup check against an all-pairs closure -------------------------------
 
 SUBGROUP_RINGS = [Zmod(9), presets.etale_preset("f3i"), presets.etale_preset("f5split"),

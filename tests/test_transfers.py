@@ -170,8 +170,8 @@ def test_unitary_transfer_on_center():
 
 
 def test_unitary_transfer_with_an_algebra():
-    # along F3 -> F3[i]: the source lists the 5,760 frames of U over the
-    # 81-element extended center
+    # along F3 -> F3[i]: the source walks the frames of U over the 81-element
+    # extended center until the reduced norms fill its 8-element circle
     f3i = presets.etale_preset("f3i")
     rep = transfer_on_functor("unitary", presets.unitary_m2_f3i(), etale_extension(f3i), 1)
     assert rep.well_defined and rep.hom_ok and rep.sigma_compat
