@@ -1,12 +1,13 @@
 """Unit, unitary and special groups; reduced-norm images; functor values.
 
-A unitary group is one checked stream, walked depth first, and read only
-as far as each consumer needs.  Quotients of finite abelian unit groups
-take their order by Lagrange from two verified groups, and are explicit
-coset decompositions built on first use, split one cyclic factor at a
-time by merging cosets.  Each ring records the groups it has verified, so
-a group met again is not closed again.  No generic group-theory engine:
-everything here is enumeration over small finite rings.
+A unitary group is one checked stream of frames, walked depth first, and
+read only as far as each consumer needs, one solution of a column at a
+time.  Quotients of finite abelian unit groups take their order by
+Lagrange from two verified groups, and are explicit coset decompositions
+built on first use, split one cyclic factor at a time by merging cosets.
+Each ring records the groups it has verified, so a group met again is not
+closed again.  No generic group-theory engine: everything here is
+enumeration over small finite rings.
 """
 
 from __future__ import annotations
@@ -48,84 +49,78 @@ def _frames_p(alg: MatrixAlgebra, gram, conj):
 
     With form(v, w) = conj(v)^T * gram * w, column j must satisfy
     form(a_i, v) = gram_ij for each earlier column a_i, a linear condition
-    with row conj(a_i)^T * gram that _solve_p solves, and form(v, v) =
-    gram_jj, tested on each solution.  A partial frame is completed before
-    the next is tried; row and form(v, v) are filled when v first appears.
-    For a unitary a, conj(a)^T * gram is invertible, so a partial frame
-    whose rows do not complete to an invertible matrix has no extension and
-    is dropped.  The involution constructors only record gram with
+    with row conj(a_i)^T * gram, and form(v, v) = gram_jj.  A partial frame
+    of j columns carries the columns of an invertible Q with
+    rows * Q = [I_j | 0], so the linear conditions hold exactly for
+    v = Q * (gram_0j, ..., gram_(j-1)j, w), w in C^(n-j), read one at a
+    time; row and form(v, v) are filled when v first appears.  For a
+    unitary a, conj(a)^T * gram is invertible, so a partial frame whose rows
+    do not complete to an invertible matrix has no extension and is dropped
+    by _extend.  The involution constructors only record gram with
     conj(gram)^T = +-gram, so form(v, a_i) = gram_ji follows.  No field
     assumption is used.
     """
     C, n, h = alg.center, alg.n, gram.cells
-    zero = C.zero_p()
+    zero, one = C.zero_p(), C.one_p()
     conj = conj or (lambda x: x)
     elems = list(C.elements_p())
     # row[v] = conj(v)^T * gram, so that form(v, w) = row[v] . w
     row, norm = {}, {}
 
-    def frames(cols):
+    def frames(cols, q):
         j = len(cols)
         if j == n:
             yield tuple(cols[c][i] for i in range(n) for c in range(n))
             return
-        for v in _solve_p(C, elems, [row[c] for c in cols], h[j:j * n:n], n):
+        qrows = list(zip(*q))
+        fixed = [_lin(C, zero, h[j:j * n:n], qr[:j]) for qr in qrows]
+        for w in itertools.product(elems, repeat=n - j):
+            v = tuple(_lin(C, x, w, qr[j:]) for x, qr in zip(fixed, qrows))
             if v not in norm:
                 r = row[v] = tuple(_lin(C, zero, [conj(x) for x in v], h[k::n])
                                    for k in range(n))
                 norm[v] = _lin(C, zero, r, v)
             if norm[v] == h[j * n + j]:
-                yield from frames(cols + (v,))
+                # the last column sets no condition on a later one
+                nq = q if j + 1 == n else _extend(C, elems, row[v], q, j)
+                if nq is not None:
+                    yield from frames(cols + (v,), nq)
 
-    yield from frames(())
+    yield from frames((), [tuple(one if i == c else zero for i in range(n))
+                           for c in range(n)])
 
 
-def _solve_p(C: Ring, elems, rows, rhs, n: int):
-    """Every v in C^n with rows * v = rhs, each once; none when the rows
-    do not complete to an invertible n x n matrix.
+def _extend(C: Ring, elems, r, q, j: int):
+    """Columns of Q * E, E invertible, with rows * Q * E = [I_(j+1) | 0]
+    once row r joins the j rows; None when they do not complete to an
+    invertible matrix.
 
-    Column operations (v = Q w, Q invertible) and row operations bring
-    [rows | rhs] to unit pivots: row k gets a 1 in column k and every other
-    row a 0 there.  Where no column from k on holds a unit in row k, one is
-    made by adding a combination of the later columns to column k, found
-    by search over elems.  A finite ring is a product of local rings, and a
+    A column from j on where s = r * Q is a unit becomes column j; if there
+    is none, a combination of the later columns, found by search over elems,
+    is added to column j.  A finite ring is a product of local rings, and a
     row that completes to an invertible matrix has a unit entry in each
     factor, so the search fails exactly when the rows do not complete.
-    Then w_c is free for c >= len(rows), w_k = rhs_k - sum_c row_k[c] w_c,
-    and v = Q w.
+    Column j is scaled to s_j = 1 and clears s from every other column; the
+    j earlier rows are 0 from column j on, so they keep [I_j | 0].
     """
-    add, mul, sub, unit = C.add_p, C.mul_p, C.sub_p, C.is_unit_p
-    zero, one = C.zero_p(), C.one_p()
-    m = len(rows)
-    a = [list(r) + [t] for r, t in zip(rows, rhs)]
-    q = [[one if i == c else zero for c in range(n)] for i in range(n)]
-    for k in range(m):
-        ak = a[k]
-        piv = next((c for c in range(k, n) if unit(ak[c])), None)
-        # column operations act on the rows of a and of Q alike
-        if piv is None:
-            xs = next((xs for xs in itertools.product(elems, repeat=n - k - 1)
-                       if unit(_lin(C, ak[k], xs, ak[k + 1:n]))), None)
-            if xs is None:
-                return []
-            for r in a + q:
-                r[k] = _lin(C, r[k], xs, r[k + 1:n])
-        elif piv != k:
-            for r in a + q:
-                r[k], r[piv] = r[piv], r[k]
-        inv = C.inv_p(ak[k])
-        ak[:] = [mul(inv, x) for x in ak]
-        for r in a:
-            f = r[k]
-            if r is not ak and f != zero:
-                r[k:] = [sub(x, mul(f, y)) for x, y in zip(r[k:], ak[k:])]
-    out = [tuple(_lin(C, zero, [r[n] for r in a], qi) for qi in q)]
-    for c in range(m, n):
-        negs = [C.neg_p(r[c]) for r in a]
-        kc = [_lin(C, qi[c], negs, qi) for qi in q]
-        steps = [[mul(s, x) for x in kc] for s in elems]
-        out = [tuple([add(x, y) for x, y in zip(v, step)]) for v in out for step in steps]
-    return out
+    zero, unit = C.zero_p(), C.is_unit_p
+    q = list(q)
+    s = [_lin(C, zero, r, c) for c in q]
+    piv = next((c for c in range(j, len(q)) if unit(s[c])), None)
+    if piv is None:
+        xs = next((xs for xs in itertools.product(elems, repeat=len(q) - j - 1)
+                   if unit(_lin(C, s[j], xs, s[j + 1:]))), None)
+        if xs is None:
+            return None
+        s[j] = _lin(C, s[j], xs, s[j + 1:])
+        q[j] = tuple(_lin(C, x, xs, ys) for x, ys in zip(q[j], zip(*q[j + 1:])))
+    else:
+        s[j], s[piv], q[j], q[piv] = s[piv], s[j], q[piv], q[j]
+    inv = C.inv_p(s[j])
+    qj = q[j] = tuple(C.mul_p(inv, x) for x in q[j])
+    return [c if k == j or s[k] == zero else
+            tuple(C.sub_p(x, C.mul_p(s[k], y)) for x, y in zip(c, qj))
+            for k, c in enumerate(q)]
 
 
 def _lin(C: Ring, u, xs, ys):
@@ -140,20 +135,24 @@ def _lin(C: Ring, u, xs, ys):
 def enumerate_special(a, which: str):
     """Norm-one subgroups: 'SL' (nrd = 1), 'SU'/'SO' (unitary and nrd = 1).
 
-    'SL' takes a bare algebra and sweeps it; the unitary flavours need an
-    involution and filter its unitary group, which enumerate_unitary lists
-    once per involution.
+    'SL' takes a bare algebra and sweeps it (over an Azumaya algebra nrd = 1
+    makes x a unit).  'SU' needs a unitary involution and 'SO' one of the
+    first kind, where on a symplectic one it is all of U; both filter the
+    unitary group, which enumerate_unitary lists once per involution.
     """
     if which not in ("SL", "SU", "SO"):
         raise ClassificationError(f"unknown special group {which!r}")
     if which != "SL":
         if not isinstance(a, AlgebraWithInvolution):
             raise ClassificationError(f"{which} needs an involution")
+        if (which == "SU") != (a.kind == "unitary"):
+            kind = "a unitary" if which == "SU" else "a first-kind"
+            raise ClassificationError(f"{which} needs {kind} involution")
         one_c = a.center_ring.one_p()
         return [u for u in enumerate_unitary(a) if a.nrd_p(u.payload) == one_c]
     one_c = a.cdata.ring.one_p()
     return [AlgebraElem(a, p) for p in a.elements_p()
-            if a.is_unit_p(p) and algebra_nrd(a, p).payload == one_c]
+            if algebra_nrd(a, p).payload == one_c]
 
 
 def nrd_image(s):

@@ -10,6 +10,15 @@ Classical counts over a finite field with q elements:
 U_n(q) is the isometry group of a nondegenerate hermitian form on an
 n-dimensional space over the quadratic field extension of F_q; its order
 does not depend on the form chosen.
+
+Over the unramified lift Z/p^2[sqrt(s)] of F_p[sqrt(s)] (a Galois ring, local
+but not a field), reduction mod p maps U_n onto U_n(p) with kernel
+1 + p*X, X in the n^2-dimensional space of skew-hermitian matrices over
+F_p[sqrt(s)] (as an F_p-space), and SU_n onto SU_n(p) with the trace-zero
+part of that space as kernel:
+
+  |U_n|  = |U_n(p)|  * p^(n^2)
+  |SU_n| = |SU_n(p)| * p^(n^2 - 1)
 """
 
 
@@ -37,6 +46,14 @@ def special_unitary_order(n: int, q: int) -> int:
     order, rem = divmod(unitary_order(n, q), q + 1)
     assert rem == 0
     return order
+
+
+def lifted_unitary_order(n: int, p: int) -> int:
+    return unitary_order(n, p) * p ** (n * n)
+
+
+def lifted_special_unitary_order(n: int, p: int) -> int:
+    return special_unitary_order(n, p) * p ** (n * n - 1)
 
 
 if __name__ == "__main__":

@@ -10,7 +10,8 @@ import weakref
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
-from order_oracles import gl_order, sl_order, special_unitary_order, unitary_order
+from order_oracles import (gl_order, lifted_special_unitary_order, lifted_unitary_order,
+                           sl_order, special_unitary_order, unitary_order)
 
 from azunorm import cli, groups, presets
 from azunorm.algebras import (AlgebraElem, AlgebraWithInvolution, Involution,
@@ -20,7 +21,8 @@ from azunorm.algebras import (AlgebraElem, AlgebraWithInvolution, Involution,
 from azunorm.groups import (FiniteAbelianPresentation, enumerate_special,
                             enumerate_unitary, functor_linear, functor_unitary,
                             nrd_image, nrd_unit_image)
-from azunorm.rings import ExactAlgebraError, PrimeField, ProductRing, RingMatrix, Zmod
+from azunorm.rings import (ClassificationError, ExactAlgebraError, PrimeField, ProductRing,
+                          RingMatrix, Zmod)
 from azunorm.transfers import FiniteFreeExtension, etale_extension
 
 F3 = PrimeField(3)
@@ -125,9 +127,18 @@ def _transpose_m3_f3():
     return AlgebraWithInvolution(a, transpose_involution(a))
 
 
+def _antidiagonal_m3_f3():
+    # gram_02 = 1: the third column's condition against the first is not
+    # 0 = 0, as it is for every diagonal form
+    a = MatrixAlgebra(F3, 3)
+    g = RingMatrix.from_rows(F3, [[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+    return AlgebraWithInvolution(a, adjoint_involution(a, g))
+
+
 FRAME_CASES = ([(f"m2-f3i-{h}", lambda h=h: presets.unitary_m2_f3i(h))
                 for h in presets.H_NAMES]
                + [("m3-f3-transpose", _transpose_m3_f3),
+                  ("m3-f3-antidiagonal", _antidiagonal_m3_f3),
                   ("m2-f3-symplectic", _symplectic_m2_f3)]
                + [(f"deg1-{n}", lambda n=n: presets.degree_one_unitary(n))
                   for n in presets.ETALE_NAMES])
@@ -151,8 +162,11 @@ def test_frames_equal_the_sweep(name, build):
     assert [u.payload for u in enumerate_special(aw, which)] == special
 
 
+# under "mixed" some first columns have the row (1 + t, 1 - t) over
+# f3split = F3[t]/(t^2 - 1): no entry is a unit, yet the row completes to an
+# invertible matrix, so its pivot column is a combination of columns
 SPLIT_FORMS = {"identity": [[1, 0], [0, 1]], "diag": [[1, 0], [0, -1]],
-               "hyperbolic": [[0, 1], [1, 0]]}
+               "hyperbolic": [[0, 1], [1, 0]], "mixed": [[1, 1], [1, 0]]}
 
 
 @pytest.mark.parametrize("h", sorted(SPLIT_FORMS))
@@ -200,6 +214,20 @@ def test_frames_of_hermitian_m3_f3i_match_the_oracles(monkeypatch):
     monkeypatch.setattr(a, "elements_p", no_sweep)
     assert len(enumerate_unitary(aw)) == unitary_order(3, 3) == 24192
     assert len(enumerate_special(aw, "SU")) == special_unitary_order(3, 3) == 6048
+
+
+def test_frames_over_a_galois_ring_match_the_oracles(monkeypatch):
+    # Z/9[sqrt 2] is local but not a field: the frames of M2 over it are
+    # checked against the lift of the orders over F3[i]
+    c = presets.etale_preset("z9sqrt2")
+    a = MatrixAlgebra(c, 2)
+    aw = AlgebraWithInvolution(a, hermitian_involution(a, RingMatrix.identity(c, 2)))
+
+    def no_sweep():
+        raise AssertionError("swept the algebra")
+    monkeypatch.setattr(a, "elements_p", no_sweep)
+    assert len(enumerate_unitary(aw)) == lifted_unitary_order(2, 3) == 7776
+    assert len(enumerate_special(aw, "SU")) == lifted_special_unitary_order(2, 3) == 648
 
 
 def _hermitian_form(c, x, y, z):
@@ -259,6 +287,22 @@ def test_frames_are_checked_through_the_involution_matrix():
     inv.form = _symplectic_m2_f3().involution.form
     with pytest.raises(ExactAlgebraError):
         enumerate_unitary(AlgebraWithInvolution(a, inv))
+
+
+@pytest.mark.parametrize("build, which", [
+    (lambda: presets.unitary_m2_f3i("identity"), "SO"),
+    (_transpose_m3_f3, "SU"),
+    (_symplectic_m2_f3, "SU"),
+], ids=["hermitian-SO", "transpose-SU", "symplectic-SU"])
+def test_special_group_of_the_other_kind_is_refused(build, which):
+    with pytest.raises(ClassificationError, match=f"{which} needs"):
+        enumerate_special(build(), which)
+
+
+def test_symplectic_special_group_is_the_whole_group():
+    aw = _symplectic_m2_f3()
+    assert ([u.payload for u in enumerate_special(aw, "SO")]
+            == [u.payload for u in enumerate_unitary(aw)])
 
 
 # -- frames after scalar extension -------------------------------------------------
@@ -824,6 +868,23 @@ def test_unitary_functor_of_hermitian_m3_f3i_along_the_etale_extension_frozen():
     for d in (0, 1):
         q = functor_unitary(aw, ext, d)
         assert (q.order, q.elementary_divisors) == (1, []), d
+
+
+def test_first_extended_m3_frame_reads_few_solutions(monkeypatch):
+    # the first column of hermitian M3(F3[i]) along the etale extension has
+    # 81^3 = 531,441 solutions; the first frame is read without listing them
+    big, _ = extend_awi(_hermitian_m3_f3i(), _f3i_extension())
+    center = type(big.algebra.center)
+    real = center.add_p
+    adds = []
+
+    def counted(self, x, y):
+        adds.append(1)
+        return real(self, x, y)
+    monkeypatch.setattr(center, "add_p", counted)
+    first = next(groups._frames_p(big.algebra, *big.involution.form))
+    assert big.is_unitary_p(first)
+    assert len(adds) < 10_000
 
 
 # -- the subgroup check against an all-pairs closure -------------------------------
