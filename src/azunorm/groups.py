@@ -6,8 +6,9 @@ time.  Quotients of finite abelian unit groups take their order by
 Lagrange from two verified groups, and are explicit coset decompositions
 built on first use, split one cyclic factor at a time by merging cosets.
 Each ring records the groups it has verified, so a group met again is not
-closed again.  No generic group-theory engine: everything here is
-enumeration over small finite rings.
+closed again.  A reduced-norm image, a subgroup, is read only until the
+values read generate the bound it lies in.  No generic group-theory
+engine: everything here is enumeration over small finite rings.
 """
 
 from __future__ import annotations
@@ -178,26 +179,38 @@ def nrd_unit_image(algebra: Algebra):
     Split presentations use the diagonal argument: every center unit is the
     determinant of diag(u, 1, ..., 1) and every determinant of a unit is a
     center unit, so the image is exactly the center's unit set.  Tables are
-    swept in canonical order until the image saturates: the reduced norm of
-    a unit is a center unit, so once every center unit has appeared no new
-    value can.  A proper-subgroup image is swept to the end.
+    swept in canonical order until the norms read generate the center's
+    units: nrd is multiplicative, so the image is a subgroup, then all of
+    them.  A proper-subgroup image is swept to the end.
     """
     if isinstance(algebra, MatrixAlgebra):
         return set(algebra.center.units_p())
     C = algebra.cdata.ring
     # over an Azumaya algebra x is a unit exactly when nrd(x) is
     norms = (algebra_nrd(algebra, p).payload for p in algebra.elements_p())
-    return _saturate((v for v in norms if C.is_unit_p(v)), set(C.units_p()))
+    return _saturate(C, (v for v in norms if C.is_unit_p(v)), set(C.units_p()))
 
 
-def _saturate(values, bound):
-    """The values read until their set equals bound; one outside it reads all."""
-    out = set()
+def _saturate(ring: Ring, values, bound):
+    """bound once the values read generate it, else the values read.
+
+    The values come from a subgroup of bound, such as nrd(U), which is all
+    of bound once the values read generate it.  span, their subgroup, grows
+    by v as the union of span * v^i up to the first power of v in span.  A
+    value outside bound turns the stop off: all are read and returned."""
+    read, span, inside = set(), {ring.one_p()}, True
     for v in values:
-        out.add(v)
-        if out == bound:
-            break
-    return out
+        read.add(v)
+        inside = inside and v in bound
+        if inside:
+            grown, x = span, v
+            while x not in span:
+                grown = grown | {ring.mul_p(s, x) for s in span}
+                x = ring.mul_p(x, v)
+            span = grown
+            if span == bound:
+                return span
+    return read
 
 
 def _check_subgroup(ring: Ring, members) -> None:
@@ -394,8 +407,9 @@ def functor_unitary(a, ext, d: int) -> FiniteAbelianPresentation:
 
     a is a unitary AlgebraWithInvolution (honest norm subgroup) or a
     QuadraticEtale (no algebra: the pure power quotient of the norm-one
-    circle).  nrd(sigma(x)) = conj(nrd(x)) puts nrd(U) in the circle, so U is
-    walked until its norms fill it; a value off it is read and rejected.
+    circle).  nrd(U) is a subgroup of the circle, as nrd is multiplicative
+    and nrd(sigma(x)) = conj(nrd(x)): U is walked until its norms generate
+    the circle; a value off it is read and rejected.
     """
     if d < 0:
         raise ExactAlgebraError("d must be nonnegative")
@@ -409,7 +423,7 @@ def functor_unitary(a, ext, d: int) -> FiniteAbelianPresentation:
         CT = awi_t.center_ring
         nrds = (awi_t.nrd_p(p) for p in _unitary_p(awi_t))
     members = [c.payload for c in CT.unitary_scalars()]
-    return _quotient(CT, members, _saturate(nrds, set(members)), d)
+    return _quotient(CT, members, _saturate(CT, nrds, set(members)), d)
 
 
 def _quotient(ring: Ring, members, norms, d: int) -> FiniteAbelianPresentation:

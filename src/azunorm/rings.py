@@ -87,17 +87,18 @@ def _is_prime(n: int) -> bool:
 
 
 def square_and_multiply(mul, one, a, k: int):
-    """a^k for k >= 0 under the associative product mul with identity one."""
+    """a^k for k >= 0 under the associative product mul; the first factor
+    seeds the product, so the identity one is returned only for k = 0."""
     if k < 0:
         raise ShapeError(f"negative power {k}")
-    out = one
+    out = None
     while k:
         if k & 1:
-            out = mul(out, a)
+            out = a if out is None else mul(out, a)
         k >>= 1
         if k:
             a = mul(a, a)
-    return out
+    return one if out is None else out
 
 
 def matmul_cells(r: "Ring", a, b, rows: int, inner: int, cols: int) -> list:

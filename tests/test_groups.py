@@ -408,7 +408,7 @@ def test_unit_norm_image_stops_once_it_saturates(monkeypatch):
             visits.append(x)
             yield x
     monkeypatch.setattr(TableAlgebra, "elements_p", counted)
-    expected = {"f3i": 33, "f5sqrt2": 135, "f7sqrt3": 166}
+    expected = {"f3i": 14, "f5sqrt2": 32, "f7sqrt3": 58}
     for p, etale in QUAT_EXTENSIONS:
         table, _ = presets.quaternion_preset(p)
         ext_table, _ = scalar_extension(table, etale_extension(presets.etale_preset(etale)))
@@ -833,7 +833,8 @@ def test_unitary_functor_walks_to_the_end_when_the_circle_is_never_met(monkeypat
     want = _listed_presentations(aw, ext, (0,))[0]
     real = groups._saturate
     monkeypatch.setattr(groups, "_saturate",
-                        lambda values, bound: real(values, bound | {"never a payload"}))
+                        lambda ring, values, bound: real(ring, values,
+                                                         bound | {"never a payload"}))
     counts = _counted_frames(monkeypatch)
     _same_presentation(functor_unitary(aw, ext, 0), want)
     assert counts == [unitary_order(2, 3)]
@@ -841,23 +842,91 @@ def test_unitary_functor_walks_to_the_end_when_the_circle_is_never_met(monkeypat
 
 def test_saturate_stops_at_its_bound_and_keeps_values_outside_it():
     values = iter([1, 2, 1, 3])
-    assert groups._saturate(values, {1, 2}) == {1, 2}
+    assert groups._saturate(Zmod(3), values, {1, 2}) == {1, 2}
     assert list(values) == [1, 3]
     values = iter([1, 5, 2, 1])
-    assert groups._saturate(values, {1, 2}) == {1, 5, 2}
+    assert groups._saturate(Zmod(3), values, {1, 2}) == {1, 5, 2}
     assert list(values) == []
-    assert groups._saturate(iter([]), {1}) == set()
+    assert groups._saturate(Zmod(3), iter([]), {1}) == set()
+
+
+Z9_UNITS = set(Zmod(9).units_p())  # cyclic of order 6, generated by 2
+
+
+def _logged(values, log):
+    for v in values:
+        log.append(v)
+        yield v
+
+
+def test_saturate_stops_after_one_generator():
+    read = []
+    assert groups._saturate(Zmod(9), _logged([2, 4, 5], read), Z9_UNITS) == Z9_UNITS
+    assert read == [2]
+
+
+def test_saturate_reads_a_proper_subgroup_to_the_end():
+    # the squares {1, 4, 7} have index two
+    read = []
+    assert groups._saturate(Zmod(9), _logged([4, 1, 7, 4], read), Z9_UNITS) == {1, 4, 7}
+    assert read == [4, 1, 7, 4]
+
+
+def test_saturate_reads_everything_after_a_value_outside_its_bound():
+    read = []
+    assert groups._saturate(Zmod(9), _logged([3, 2, 5], read), Z9_UNITS) == {3, 2, 5}
+    assert read == [3, 2, 5]
+    assert groups._saturate(Zmod(9), iter([]), Z9_UNITS) == set()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 29).map(lambda k: 2 * k + 1), st.data())
+def test_saturate_is_its_bound_once_the_values_read_generate_it(n, data):
+    # Zmod takes odd n >= 3; bound is a subgroup of the units of Z/n and
+    # the values are any units: the first prefix that lies in bound and
+    # generates it is read, and nothing after it; with no such prefix every
+    # value is read and returned
+    ring = Zmod(n)
+    one, units = ring.one_p(), st.sampled_from(ring.units_p())
+    bound = _all_pairs_closure(ring, {one, *data.draw(st.lists(units, max_size=3))})
+    values = data.draw(st.lists(units, max_size=12))
+    stop = next((k for k in range(1, len(values) + 1)
+                 if set(values[:k]) <= bound
+                 and _all_pairs_closure(ring, {one, *values[:k]}) == bound), None)
+    read = []
+    got = groups._saturate(ring, _logged(values, read), bound)
+    if stop is None:
+        assert got == set(values) and read == values
+    else:
+        assert got == bound and read == values[:stop]
 
 
 @pytest.mark.parametrize("h", presets.H_NAMES)
 def test_unitary_functor_reads_few_extended_frames(monkeypatch, h):
     # U of M2(F3[i]) along the etale extension has 5,760 frames; the walk
-    # stops once the norms fill the 8-element circle (8 frames on the
-    # identity and diag forms, 127 on the hyperbolic one)
+    # stops once the subgroup the norms generate fills the 8-element circle
+    # (5 frames on the identity form, 3 on diag, 100 on the hyperbolic one)
     counts = _counted_frames(monkeypatch)
     q = functor_unitary(presets.unitary_m2_f3i(h), _f3i_extension(), 0)
     assert (q.order, q.elementary_divisors) == (1, [])
     assert len(counts) == 1 and counts[0] < 5760 // 10
+
+
+def test_degree_one_unitary_functor_reads_few_form_values(monkeypatch):
+    # degree-one Z/9[sqrt 2] along its etale extension: the frames are the
+    # 72 points of the circle of a 6,561-element center, and reading them
+    # all takes about 19,000 _lin calls; their norms generate it far sooner
+    calls = []
+    real = groups._lin
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+    monkeypatch.setattr(groups, "_lin", counted)
+    ext = etale_extension(presets.etale_preset("z9sqrt2"))
+    q = functor_unitary(presets.degree_one_unitary("z9sqrt2"), ext, 0)
+    assert (q.order, q.elementary_divisors) == (1, [])
+    assert len(calls) < 5_000
 
 
 def test_unitary_functor_of_hermitian_m3_f3i_along_the_etale_extension_frozen():

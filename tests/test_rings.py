@@ -151,7 +151,22 @@ def test_square_makes_two_polynomial_products(monkeypatch):
 
     monkeypatch.setattr(Poly, "__mul__", counted)
     assert q ** 2 == want
-    assert len(calls) <= 2
+    assert len(calls) == 1
+
+
+def test_first_power_makes_no_product(monkeypatch):
+    ring = Zmod(9)
+    real = ring.mul_p
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(ring, "mul_p", counted)
+    assert ring.pow_p(5, 1) == 5
+    assert ring.pow_p(5, 0) == ring.one_p()
+    assert calls == []
 
 
 @pytest.mark.parametrize("name", ["Z9", "f3i", "m2-f3"])
