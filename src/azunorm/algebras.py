@@ -546,13 +546,18 @@ def nrd(algebra: Algebra, x: AlgebraElem) -> RingElem:
     return nrd_data(algebra, x.payload)
 
 
-def nrd_data(algebra: Algebra, payload) -> RingElem:
-    """Reduced norm of a payload in the algebra's own center (algebra.cdata)."""
+def nrd_payload(algebra: Algebra, payload):
+    """Payload of the reduced norm in the algebra's own center (algebra.cdata)."""
     if isinstance(algebra, MatrixAlgebra):
-        return RingElem(algebra.center, algebra.det_p(payload))
+        return algebra.det_p(payload)
     cdata = algebra.cdata
     c0 = reduced_char_poly_data(algebra, payload).coeff(0)
-    return RingElem(cdata.ring, cdata.ring.neg_p(c0) if cdata.degree % 2 else c0)
+    return cdata.ring.neg_p(c0) if cdata.degree % 2 else c0
+
+
+def nrd_data(algebra: Algebra, payload) -> RingElem:
+    """Reduced norm of a payload, wrapped in the algebra's own center."""
+    return RingElem(algebra.cdata.ring, nrd_payload(algebra, payload))
 
 
 class AlgebraWithInvolution:
@@ -607,7 +612,7 @@ class AlgebraWithInvolution:
         return nrd_data(self.algebra, e.payload)
 
     def nrd_p(self, payload):
-        return nrd_data(self.algebra, payload).payload
+        return nrd_payload(self.algebra, payload)
 
     def reduced_char_poly(self, e: AlgebraElem) -> Poly:
         return reduced_char_poly_data(self.algebra, e.payload)

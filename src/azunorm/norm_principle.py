@@ -292,6 +292,13 @@ class NPBruteReport:
 def np_bruteforce_check(awi: AlgebraWithInvolution) -> NPBruteReport:
     """Both sides of the norm identity as explicit sets, by full sweep.
 
+    Every element is decoded and its reduced norm nv computed.  Since
+    nrd(sigma(x)) = sigma(nrd(x)), a unitary x has nv*sigma(nv) = 1, so
+    nrd(U) lies in the norm-one circle of the center; the sweep takes that
+    inclusion as given (the tests check it on U listed by frames) and runs
+    the unitarity test only on units whose nv lies on the circle.  Each
+    part decides the circle once per distinct nv.
+
     The sweep runs in parts over contiguous code ranges (forked workers for
     large algebras, see Ring.map_code_parts); the parts' norm sets are
     joined and their counts added before the right-hand side is formed.
@@ -300,9 +307,10 @@ def np_bruteforce_check(awi: AlgebraWithInvolution) -> NPBruteReport:
         raise ClassificationError("the norm identity is about unitary involutions")
     alg = awi.algebra
     C = awi.center_ring
+    one = C.one_p()
 
     def part(lo, hi):
-        nrdset = set()
+        on_circle = {}              # unit norm -> whether it is norm-one
         lhs = set()
         unit_count = 0
         unitary_count = 0
@@ -311,11 +319,13 @@ def np_bruteforce_check(awi: AlgebraWithInvolution) -> NPBruteReport:
             if not C.is_unit_p(nv):
                 continue
             unit_count += 1
-            nrdset.add(nv)
-            if awi.is_unitary_p(p):
+            circle = on_circle.get(nv)
+            if circle is None:
+                circle = on_circle[nv] = C.mul_p(nv, C.sigma_p(nv)) == one
+            if circle and awi.is_unitary_p(p):
                 unitary_count += 1
                 lhs.add(nv)
-        return nrdset, lhs, unit_count, unitary_count
+        return set(on_circle), lhs, unit_count, unitary_count
 
     nrdset = set()
     lhs = set()

@@ -259,6 +259,27 @@ def test_frames_equal_the_sweep_on_random_hermitian_forms(center, x, y, z):
             == [p for p in swept if aw.nrd_p(p) == onec])
 
 
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(center=st.sampled_from(["f3i", "f3split"]), x=st.integers(0, 2),
+       y=st.integers(0, 8), z=st.integers(0, 2))
+@example(center="f3i", x=0, y=4, z=1)
+@example(center="f3split", x=0, y=1, z=2)
+def test_reduced_norms_of_unitaries_lie_on_the_circle_on_random_hermitian_forms(
+        center, x, y, z):
+    # nrd(U) lies in the norm-one circle, which np_bruteforce_check assumes
+    c = presets.etale_preset(center)
+    h = _hermitian_form(c, x, y, z)
+    assume(h.det().is_unit)
+    a = MatrixAlgebra(c, 2)
+    aw = AlgebraWithInvolution(a, hermitian_involution(a, h))
+    onec = c.one_p()
+    unitary = enumerate_unitary(aw)
+    assert unitary
+    for u in unitary:
+        nv = aw.nrd_p(u.payload)
+        assert c.mul_p(nv, c.sigma_p(nv)) == onec
+
+
 def test_table_involution_keeps_the_sweep(monkeypatch):
     table, aw = presets.quaternion_preset(3)
     assert aw.involution.form is None

@@ -2,6 +2,7 @@
 invertible-corner domain, direct and factored witnesses, and the
 brute-force set comparison they are checked against."""
 
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -12,13 +13,13 @@ from hypothesis import assume, given, settings, strategies as st
 from ring_laws import dense_apply
 
 from azunorm import norm_principle, presets, rings
-from azunorm.algebras import AlgebraWithInvolution, MatrixAlgebra
+from azunorm.algebras import AlgebraWithInvolution, MatrixAlgebra, hermitian_involution
 from azunorm.groups import enumerate_unitary
 from azunorm.hilbert90 import h90_witness
 from azunorm.norm_principle import (NPWitness, PreconditionError, PlusMinusSplit,
                                     direct_np_witness, np_bruteforce_check,
                                     np_witness, open_set_member, pm_split)
-from azunorm.rings import ClassificationError
+from azunorm.rings import ClassificationError, RingMatrix
 
 
 def m2_split():
@@ -272,7 +273,8 @@ def test_omega_on_a_unit_multiplies_once(monkeypatch):
 
 
 def test_bruteforce_sweep_tests_unitarity_without_products(monkeypatch):
-    # one is_unitary_p per unit and no full product a*sigma(a); serial sweep
+    # one is_unitary_p per unit whose nrd lies on the 4-point circle (2,880
+    # of the 5,760 units) and no full product a*sigma(a); serial sweep
     aw = presets.unitary_m2_f3i("identity")
     monkeypatch.setattr(rings, "PART_MIN", aw.algebra.size + 1)
     counts = {"mul_p": 0, "is_unitary_p": 0}
@@ -289,10 +291,74 @@ def test_bruteforce_sweep_tests_unitarity_without_products(monkeypatch):
     counted(MatrixAlgebra, "mul_p")
     counted(AlgebraWithInvolution, "is_unitary_p")
     rep = np_bruteforce_check(aw)
-    assert counts == {"mul_p": 0, "is_unitary_p": 5760}
+    assert counts == {"mul_p": 0, "is_unitary_p": 2880}
     assert (rep.unit_count, rep.unitary_count) == (5760, 96)
     assert rep.lhs == rep.rhs == {(0, 1), (0, 2), (1, 0), (2, 0)}
     assert rep.equal and (rep.lhs_size, rep.rhs_size) == (4, 4)
+
+
+def _hermitian_m2_f3split():
+    c = presets.etale_preset("f3split")
+    a = MatrixAlgebra(c, 2)
+    return AlgebraWithInvolution(a, hermitian_involution(a, RingMatrix.identity(c, 2)))
+
+
+# the criterion-1 cases of at most 6,561 elements, and hermitian M2(f3split)
+SMALL_SWEEPS = {**{f"deg1-{n}": lambda n=n: presets.degree_one_unitary(n)
+                   for n in presets.ETALE_NAMES},
+                **{f"m2-f3i-{h}": lambda h=h: presets.unitary_m2_f3i(h)
+                   for h in presets.H_NAMES},
+                "m2-f3split": _hermitian_m2_f3split}
+
+
+def _plain_sweep(awi):
+    """The norm identity's report by a sweep with no circle filter: every
+    unit is tested for unitarity."""
+    alg, C = awi.algebra, awi.center_ring
+    nrds, lhs = set(), set()
+    units = unitary = 0
+    for p in alg.elements_p():
+        if not alg.is_unit_p(p):
+            continue
+        units += 1
+        nv = awi.nrd_p(p)
+        nrds.add(nv)
+        if awi.is_unitary_p(p):
+            unitary += 1
+            lhs.add(nv)
+    rhs = {C.mul_p(z, C.inv_p(C.sigma_p(z))) for z in nrds}
+    return norm_principle.NPBruteReport(
+        equal=lhs == rhs, lhs_size=len(lhs), rhs_size=len(rhs),
+        unit_count=units, unitary_count=unitary, lhs=lhs, rhs=rhs)
+
+
+@pytest.mark.parametrize("part_min", ["serial", "split"])
+@pytest.mark.parametrize("case", sorted(SMALL_SWEEPS))
+def test_bruteforce_equals_a_plain_sweep(monkeypatch, case, part_min):
+    awi = SMALL_SWEEPS[case]()
+    size = awi.algebra.size
+    monkeypatch.setattr(rings, "PART_MIN", size + 1 if part_min == "serial" else 1)
+    got = np_bruteforce_check(awi)
+    want = _plain_sweep(awi)
+    for f in dataclasses.fields(want):
+        assert getattr(got, f.name) == getattr(want, f.name), f.name
+    assert got.equal
+
+
+CIRCLE_CASES = {**SMALL_SWEEPS, "m2-f5split": presets.unitary_m2_f5split}
+
+
+@pytest.mark.parametrize("case", sorted(CIRCLE_CASES))
+def test_reduced_norms_of_listed_unitaries_lie_on_the_circle(case):
+    # the inclusion np_bruteforce_check assumes, on U listed by frames
+    awi = CIRCLE_CASES[case]()
+    C = awi.center_ring
+    one = C.one_p()
+    unitary = enumerate_unitary(awi)
+    assert unitary
+    for u in unitary:
+        z = awi.nrd_p(u.payload)
+        assert C.mul_p(z, C.sigma_p(z)) == one, u
 
 
 def test_anchored_records_are_a_plain_attribute_built_on_first_use():
