@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 
 from .algebras import (Algebra, AlgebraElem, AlgebraWithInvolution,
-                       MatrixAlgebra, extend_awi, nrd_data as algebra_nrd,
+                       MatrixAlgebra, extend_awi, nrd_payload,
                        scalar_extension)
 from .etale import QuadraticEtale
 from .rings import ClassificationError, ExactAlgebraError, Ring, RingElem
@@ -153,7 +153,7 @@ def enumerate_special(a, which: str):
         return [u for u in enumerate_unitary(a) if a.nrd_p(u.payload) == one_c]
     one_c = a.cdata.ring.one_p()
     return [AlgebraElem(a, p) for p in a.elements_p()
-            if algebra_nrd(a, p).payload == one_c]
+            if nrd_payload(a, p) == one_c]
 
 
 def nrd_image(s):
@@ -168,7 +168,7 @@ def nrd_image(s):
         raise ExactAlgebraError("empty element set")
     alg = s[0].ring
     C = alg.cdata.ring
-    vals = {algebra_nrd(alg, x.payload).payload for x in s}
+    vals = {nrd_payload(alg, x.payload) for x in s}
     _check_subgroup(C, vals)
     return {RingElem(C, v) for v in vals}
 
@@ -187,7 +187,7 @@ def nrd_unit_image(algebra: Algebra):
         return set(algebra.center.units_p())
     C = algebra.cdata.ring
     # over an Azumaya algebra x is a unit exactly when nrd(x) is
-    norms = (algebra_nrd(algebra, p).payload for p in algebra.elements_p())
+    norms = (nrd_payload(algebra, p) for p in algebra.elements_p())
     return _saturate(C, (v for v in norms if C.is_unit_p(v)), set(C.units_p()))
 
 

@@ -296,47 +296,30 @@ def np_bruteforce_check(awi: AlgebraWithInvolution) -> NPBruteReport:
     nrd(sigma(x)) = sigma(nrd(x)), a unitary x has nv*sigma(nv) = 1, so
     nrd(U) lies in the norm-one circle of the center; the sweep takes that
     inclusion as given (the tests check it on U listed by frames) and runs
-    the unitarity test only on units whose nv lies on the circle.  Each
-    part decides the circle once per distinct nv.
-
-    The sweep runs in parts over contiguous code ranges (forked workers for
-    large algebras, see Ring.map_code_parts); the parts' norm sets are
-    joined and their counts added before the right-hand side is formed.
+    the unitarity test only on units whose nv lies on the circle.  The
+    sweep decides the circle once per distinct nv.
     """
     if awi.kind != "unitary":
         raise ClassificationError("the norm identity is about unitary involutions")
     alg = awi.algebra
     C = awi.center_ring
     one = C.one_p()
-
-    def part(lo, hi):
-        on_circle = {}              # unit norm -> whether it is norm-one
-        lhs = set()
-        unit_count = 0
-        unitary_count = 0
-        for p in itertools.islice(alg.elements_p(), lo, hi):
-            nv = awi.nrd_p(p)
-            if not C.is_unit_p(nv):
-                continue
-            unit_count += 1
-            circle = on_circle.get(nv)
-            if circle is None:
-                circle = on_circle[nv] = C.mul_p(nv, C.sigma_p(nv)) == one
-            if circle and awi.is_unitary_p(p):
-                unitary_count += 1
-                lhs.add(nv)
-        return set(on_circle), lhs, unit_count, unitary_count
-
-    nrdset = set()
+    on_circle = {}                  # unit norm -> whether it is norm-one
     lhs = set()
     unit_count = 0
     unitary_count = 0
-    for part_nrds, part_lhs, units, unitaries in alg.map_code_parts(part):
-        nrdset |= part_nrds
-        lhs |= part_lhs
-        unit_count += units
-        unitary_count += unitaries
-    rhs = {C.mul_p(z, C.inv_p(C.sigma_p(z))) for z in nrdset}
+    for p in alg.elements_p():
+        nv = awi.nrd_p(p)
+        if not C.is_unit_p(nv):
+            continue
+        unit_count += 1
+        circle = on_circle.get(nv)
+        if circle is None:
+            circle = on_circle[nv] = C.mul_p(nv, C.sigma_p(nv)) == one
+        if circle and awi.is_unitary_p(p):
+            unitary_count += 1
+            lhs.add(nv)
+    rhs = {C.mul_p(z, C.inv_p(C.sigma_p(z))) for z in on_circle}
     return NPBruteReport(equal=lhs == rhs, lhs_size=len(lhs), rhs_size=len(rhs),
                          unit_count=unit_count, unitary_count=unitary_count,
                          lhs=lhs, rhs=rhs)

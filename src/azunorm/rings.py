@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-import os
 from math import gcd
 
 
@@ -63,14 +62,10 @@ class ConfigError(ExactAlgebraError):
 # A PolyQuotient over a base that is not a Zmod (a tower) with at most
 # TABLE_MAX elements fills add, mul and neg tables entry by entry from the
 # generic arithmetic, so a table holds at most 6,561 entries.  Rings over a
-# Zmod keep the generic arithmetic for now (ROADMAP direction 2).
+# Zmod keep the generic arithmetic for now (ROADMAP direction 1).
 TABLE_MAX = 81
 # Per-element unit and inverse caches are kept only up to this ring size.
 CACHE_MAX = 20000
-# Ring.map_code_parts forks a worker per extra part only when every part
-# holds at least PART_MIN codes: a fork costs about 1.5 ms, a part of this
-# size tens of milliseconds or more.
-PART_MIN = 2048
 
 
 def _is_prime(n: int) -> bool:
@@ -190,23 +185,6 @@ class Ring:
         for combo in itertools.product(*slots):
             yield combo[::-1]
 
-    def map_code_parts(self, part):
-        """[part(lo, hi), ...] over contiguous code ranges that cover
-        [0, size), in code order.
-
-        The ranges split across the CPUs this process may run on when each
-        holds at least PART_MIN codes, no other thread is alive and fork is
-        the platform's default start method.  The first range then runs
-        here and every other one in a forked worker, which sends its result
-        back over a pipe, so results must pickle.  A worker's exception is
-        raised again here.  Otherwise part(0, size) runs here alone.
-        """
-        parts = _part_count(self.size)
-        if parts == 1:
-            return [part(0, self.size)]
-        bounds = [self.size * k // parts for k in range(parts + 1)]
-        return _run_parts(part, list(zip(bounds, bounds[1:])))
-
     def _signature(self) -> tuple:
         raise NotImplementedError
 
@@ -264,79 +242,6 @@ class Ring:
 
     def __hash__(self):
         return hash(self._signature())
-
-
-def _part_count(size: int) -> int:
-    """How many parts Ring.map_code_parts cuts [0, size) into."""
-    parts = size // PART_MIN
-    if parts < 2 or not hasattr(os, "sched_getaffinity"):
-        return 1
-    parts = min(parts, len(os.sched_getaffinity(0)))
-    if parts < 2:
-        return 1
-    import threading
-    # a fork copies only the calling thread, with any lock another held
-    if threading.active_count() != 1:
-        return 1
-    import multiprocessing
-    if multiprocessing.get_all_start_methods()[0] != "fork":
-        return 1
-    return parts
-
-
-def _run_parts(part, ranges):
-    """part over each (lo, hi): the first here, the others in forked workers."""
-    import multiprocessing
-    ctx = multiprocessing.get_context("fork")
-    procs, conns = [], []
-    finished = False
-    try:
-        for lo, hi in ranges[1:]:
-            recv_end, send_end = ctx.Pipe(duplex=False)
-            conns.append(recv_end)
-            proc = ctx.Process(target=_part_worker, args=(part, lo, hi, send_end),
-                               daemon=True)
-            try:
-                proc.start()
-            finally:
-                send_end.close()
-            procs.append(proc)
-        results = [part(*ranges[0])]
-        for proc, conn in zip(procs, conns):
-            try:
-                ok, value = conn.recv()
-            except EOFError:
-                proc.join()
-                raise ExactAlgebraError(
-                    f"sweep worker exited with code {proc.exitcode} "
-                    f"before it sent its part")
-            if not ok:
-                raise value
-            results.append(value)
-        finished = True
-        return results
-    finally:
-        for conn in conns:
-            conn.close()
-        for proc in procs:
-            if not finished:
-                proc.terminate()
-            proc.join()
-            proc.close()
-
-
-def _part_worker(part, lo, hi, send_end):
-    """Body of a forked worker: send (True, result) or (False, exception)."""
-    import signal
-    # an interrupt reaches the whole process group; the parent handles it
-    # and terminates the workers
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    with send_end:
-        try:
-            out = (True, part(lo, hi))
-        except Exception as e:
-            out = (False, e)
-        send_end.send(out)
 
 
 class RingElem:

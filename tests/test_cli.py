@@ -5,7 +5,10 @@ import contextlib
 import gc
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import tempfile
 import time
 import weakref
@@ -371,6 +374,41 @@ def test_reports_byte_identical(tmp_path, capsys):
     capsys.readouterr()
     assert r1.read_bytes() == r2.read_bytes()
     assert b'"task"' in r1.read_bytes()
+
+
+PIPED_CFG = """\
+[ring]
+kind = prime
+modulus = 3
+
+[etale]
+s = -1
+
+[algebra]
+form = split
+degree = 2
+involution = hermitian
+h = 0,1;1,0
+
+[tasks]
+task = h90-all
+task = np-bruteforce
+"""
+
+
+def test_stdout_through_a_pipe_is_frozen(tmp_path):
+    # a whole `azunorm run` in a fresh interpreter, its stdout read from a pipe
+    path = write(tmp_path, PIPED_CFG)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from azunorm.cli import main; sys.exit(main())",
+         "run", "--config", path],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=tmp_path, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == (b"CHECK h90-all PASS total=96 verified=96\n"
+                           b"CHECK np-bruteforce PASS lhs=4 rhs=4 unitary=96 units=5760\n")
 
 
 def test_survey_deterministic(tmp_path, capsys):

@@ -440,7 +440,7 @@ def test_unit_norm_image_stops_once_it_saturates(monkeypatch):
     # the image {1} never fills the two units of F3
     table, _ = presets.quaternion_preset(3)
     one = table.base.one
-    monkeypatch.setattr(groups, "algebra_nrd", lambda alg, x: one)
+    monkeypatch.setattr(groups, "nrd_payload", lambda alg, x: one.payload)
     visits.clear()
     assert nrd_unit_image(table) == {one.payload}
     assert len(visits) == table.size == 81

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from ring_laws import dense_apply
 
-from azunorm import norm_principle, presets, rings
+from azunorm import norm_principle, presets
 from azunorm.algebras import AlgebraWithInvolution, MatrixAlgebra, hermitian_involution
 from azunorm.groups import enumerate_unitary
 from azunorm.hilbert90 import h90_witness
@@ -274,9 +274,8 @@ def test_omega_on_a_unit_multiplies_once(monkeypatch):
 
 def test_bruteforce_sweep_tests_unitarity_without_products(monkeypatch):
     # one is_unitary_p per unit whose nrd lies on the 4-point circle (2,880
-    # of the 5,760 units) and no full product a*sigma(a); serial sweep
+    # of the 5,760 units) and no full product a*sigma(a)
     aw = presets.unitary_m2_f3i("identity")
-    monkeypatch.setattr(rings, "PART_MIN", aw.algebra.size + 1)
     counts = {"mul_p": 0, "is_unitary_p": 0}
 
     def counted(cls, name):
@@ -332,12 +331,9 @@ def _plain_sweep(awi):
         unit_count=units, unitary_count=unitary, lhs=lhs, rhs=rhs)
 
 
-@pytest.mark.parametrize("part_min", ["serial", "split"])
 @pytest.mark.parametrize("case", sorted(SMALL_SWEEPS))
-def test_bruteforce_equals_a_plain_sweep(monkeypatch, case, part_min):
+def test_bruteforce_equals_a_plain_sweep(case):
     awi = SMALL_SWEEPS[case]()
-    size = awi.algebra.size
-    monkeypatch.setattr(rings, "PART_MIN", size + 1 if part_min == "serial" else 1)
     got = np_bruteforce_check(awi)
     want = _plain_sweep(awi)
     for f in dataclasses.fields(want):
