@@ -740,7 +740,7 @@ def scalar_extension(algebra: Algebra, ext) -> tuple:
                       for row in algebra.gamma)
         out, slot = TableAlgebra(T, gamma, algebra.unit_index, validate=False), emb
     elif isinstance(algebra.center, QuadraticEtale):
-        CT, slot = algebra.center.extend_scalars(T, emb)
+        CT, slot = ext.extended_center(algebra.center)
         out = MatrixAlgebra(CT, algebra.n)
     else:
         out, slot = MatrixAlgebra(T, algebra.n), emb

@@ -31,7 +31,7 @@ def _require_unitary(awi: AlgebraWithInvolution, a: AlgebraElem = None):
     if a is not None:
         if a.ring != awi.algebra:
             raise ClassificationError("element from a different algebra")
-        if not awi.is_unitary_elem(a):
+        if not awi.is_unitary_p(a.payload):
             raise ClassificationError("element is not norm-one unitary")
 
 

@@ -96,6 +96,18 @@ def square_and_multiply(mul, one, a, k: int):
     return one if out is None else out
 
 
+def generated(op, span, g) -> set:
+    """The union of span * g^i, i = 0, 1, ..., up to the first power of g in
+    span.  If span is a subgroup of a finite abelian group under the
+    associative, commutative op and g lies in that group, this is <span, g>,
+    at a cost of (k - 1) * (|span| + 1) uses of op for k = [<span, g> : span]."""
+    out, x = set(span), g
+    while x not in span:
+        out.update(op(s, x) for s in span)
+        x = op(x, g)
+    return out
+
+
 def matmul_cells(r: "Ring", a, b, rows: int, inner: int, cols: int) -> list:
     """Row-major cells of the product of a (rows x inner) and b (inner x
     cols), row-major cell sequences over r; zero terms are skipped."""

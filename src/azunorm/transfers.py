@@ -18,7 +18,7 @@ from .groups import FiniteAbelianPresentation, functor_linear, functor_unitary, 
     nrd_unit_image
 from .rings import (ClassificationError, ExactAlgebraError, NonUnitError, Poly,
                     PolyQuotient, PolyRing, Ring, RingElem, RingMatrix,
-                    ShapeError)
+                    ShapeError, generated)
 
 _COORD_GUARD = 200000
 
@@ -51,24 +51,21 @@ class FiniteFreeExtension:
         """Raise unless embed_p is a ring homomorphism base -> total; returns S.
 
         S is a greedy set of additive generators of the base: an element
-        joins S only if the span of the earlier ones misses it.  Checking
-        f(a + g) = f(a) + f(g) for every a and every g in S gives
-        f(a + b) = f(a) + f(b) for all a, b, by induction on the length of
-        b as a sum of generators.  Checking f(g h) = f(g) f(h) on S x S then
-        gives multiplicativity everywhere, since both sides are additive in
-        each argument.  Unitality is checked by the caller.
+        joins S only if the span of the earlier ones, grown through
+        rings.generated, misses it.  Checking f(a + g) = f(a) + f(g) for
+        every a and every g in S gives f(a + b) = f(a) + f(b) for all a, b,
+        by induction on the length of b as a sum of generators.  Checking
+        f(g h) = f(g) f(h) on S x S then gives multiplicativity everywhere,
+        since both sides are additive in each argument.  Unitality is
+        checked by the caller.
         """
         base, tot, f = self.base, self.total, self.embed_p
         gens = []
         span = {base.zero_p()}
         for a in base.elements_p():
-            if a in span:
-                continue
-            gens.append(a)
-            fresh = span
-            while fresh:
-                fresh = {base.add_p(x, a) for x in fresh} - span
-                span |= fresh
+            if a not in span:
+                gens.append(a)
+                span = generated(base.add_p, span, a)
         for a in base.elements_p():
             fa = f(a)
             for g in gens:
@@ -119,8 +116,9 @@ class FiniteFreeExtension:
         return table
 
     def extended_center(self, c: QuadraticEtale) -> tuple:
-        """(c tensor total, c -> c tensor 1), built once per center c, so
-        the circle of the extended center is listed and verified once."""
+        """(c tensor total, c -> c tensor 1), built once per center c and
+        shared by scalar_extension, extend_awi, the functors and
+        center_extension, so its circle is listed and verified once."""
         got = self._centers.get(c)
         if got is None:
             got = self._centers[c] = c.extend_scalars(self.total, self.embed_p)

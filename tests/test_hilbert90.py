@@ -147,14 +147,14 @@ def test_non_unitary_input_rejected():
 def test_witness_checks_its_input_once(monkeypatch):
     aw, a = diag_generators()
     calls = []
-    is_unitary_elem = AlgebraWithInvolution.is_unitary_elem
+    is_unitary_p = AlgebraWithInvolution.is_unitary_p
 
-    def counted(self, e):
-        calls.append(e)
-        return is_unitary_elem(self, e)
-    monkeypatch.setattr(AlgebraWithInvolution, "is_unitary_elem", counted)
+    def counted(self, p):
+        calls.append(p)
+        return is_unitary_p(self, p)
+    monkeypatch.setattr(AlgebraWithInvolution, "is_unitary_p", counted)
     assert h90_witness(aw, a).verified
-    assert calls == [a]
+    assert calls == [a.payload]
     with pytest.raises(ClassificationError, match="^element is not norm-one unitary$"):
         h90_witness(aw, aw.embed_center(aw.center_ring.one + aw.center_ring.sqrt_gen))
     assert len(calls) == 2
