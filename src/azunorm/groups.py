@@ -4,11 +4,11 @@ A unitary group is one checked stream of frames, walked depth first, and
 read only as far as each consumer needs, one solution of a column at a
 time.  Quotients of finite abelian unit groups take their order by
 Lagrange from two verified groups, and are explicit coset decompositions
-built on first use, split one cyclic factor at a time by merging cosets.
-Each ring records the groups it has verified, so a group met again is not
-closed again.  A reduced-norm image, a subgroup, is read only until the
-values read generate the bound it lies in.  No generic group-theory
-engine: everything here is enumeration over small finite rings.
+built on first use, split one cyclic factor at a time, each quotient
+presented again.  Each ring records the groups it has verified, so a group
+met again is not closed again.  A reduced-norm image, a subgroup, is read
+only until the values read generate the bound it lies in.  No generic
+group-theory engine: it is all enumeration over small finite rings.
 """
 
 from __future__ import annotations
@@ -256,9 +256,9 @@ class FiniteAbelianPresentation:
     The subgroup lies in the group, so the order of the quotient is
     |members| / |subgroup| by Lagrange.  The cosets, keyed by their minimal
     representative, are built the first time cosets, rep or op is read,
-    and that build checks their number against the order.  The
-    invariant factors come from a chain of quotients, each by a cyclic
-    subgroup of largest order, whose cosets are merged from the last ones.
+    and that build checks their number against the order.  The invariant
+    factors come from a chain of quotients by cyclic subgroups of largest
+    order, each presented again.
     """
 
     def __init__(self, ring: Ring, members, subgroup=None):
@@ -315,41 +315,23 @@ class FiniteAbelianPresentation:
         In a finite abelian group a cyclic subgroup <g> of largest order e is
         a direct summand, so the factors are those of the quotient by <g>,
         followed by e; g is the first coset representative of largest order.
-        Each quotient is merged from the last one: its subgroup K, the union
-        of the cosets in <g>, is checked by _check_subgroup, and the coset
-        x*K is the union of the cosets of x*g^i.  Representatives are taken
-        in ascending order, so the first one met of each new coset is its
-        least member.  Lagrange fixes the number of new cosets, which is
-        checked, so the loop ends and the factors multiply to the order.
+        Each quotient is presented again, modulo the union K of the cosets
+        in <g>: that presentation checks K by _check_subgroup and its coset
+        count by Lagrange, and its representatives are again least members.
+        The order falls by e > 1 each round, so the loop ends.
         """
-        ring, mul = self.ring, self.ring.mul_p
-        one = ring.one_p()
-        coset_of = self._table()
-        reps = [r for r, _ in self._cosets]
-        factors = []
-        while len(reps) > 1:
-            identity = coset_of[one]
+        pres, factors = self, []
+        while pres.order > 1:
+            identity = pres.rep(pres.ring.one_p())
             cycle, seen = set(), set()
-            for g in reps:
+            for g, _ in pres.cosets:
                 # a power of an earlier representative has no larger order
-                if g in seen:
-                    continue
-                # <g> in the current quotient, multiplied through coset_of
-                powers = generated(lambda a, b: coset_of[mul(a, b)], {identity}, g)
-                seen |= powers
-                if len(powers) > len(cycle):
-                    cycle = powers
-            _check_subgroup(ring, [m for m, r in coset_of.items() if r in cycle])
-            merged, kept = {}, []
-            for x in reps:
-                if x not in merged:
-                    kept.append(x)
-                    for c in cycle:
-                        merged[coset_of[mul(x, c)]] = x
-            if len(kept) * len(cycle) != len(reps):
-                raise ExactAlgebraError("merged cosets do not match the order")
-            coset_of = {m: merged[r] for m, r in coset_of.items()}
-            reps = kept
+                if g not in seen:
+                    powers = generated(pres.op, {identity}, g)
+                    seen |= powers
+                    cycle = max(cycle, powers, key=len)
+            K = [m for r, coset in pres.cosets if r in cycle for m in coset]
+            pres = FiniteAbelianPresentation(pres.ring, pres.members, K)
             factors.append(len(cycle))
         return factors[::-1]
 

@@ -131,11 +131,11 @@ def pm_split(awi: AlgebraWithInvolution) -> PlusMinusSplit:
 
 def _omega(split: PlusMinusSplit, payload):
     """(v, av, r, u): the companion unit v and a*v = r + u, or None when the
-    corner test puts the element outside the witness domain."""
+    corner test puts the element outside the witness domain.  A non-unit a
+    is rejected by the unit test on a*v: in a finite ring a product with a
+    non-unit is a non-unit."""
     alg = split.algebra
     base = alg.base
-    if not alg.is_unit_p(payload):
-        return None
     m = split.m
     # block j holds the fixed coordinates of a * basis_minus[j]; the corner
     # is empty when m = 1, and then v_coords = [1]

@@ -333,11 +333,12 @@ def additivity_check(algebra, e1: FiniteFreeExtension, e2: FiniteFreeExtension,
     failures = []
     for u in prod.total.units_p():
         p1, p2 = u
+        n1, n2 = e1.norm_p(p1), e2.norm_p(p2)
         n_prod = prod.norm_p(u)
-        n_split = base.mul_p(e1.norm_p(p1), e2.norm_p(p2))
+        n_split = base.mul_p(n1, n2)
         if n_prod != n_split:
             failures.append(("norm", u))
-        elif target.rep(n_prod) != target.op(e1.norm_p(p1), e2.norm_p(p2)):
+        elif target.rep(n_prod) != target.op(n1, n2):
             failures.append(("coset", u))
         checked += 1
     return AdditivityReport(ok=not failures, checked=checked, failures=failures[:5])

@@ -772,6 +772,24 @@ def test_unitary_functor_check_lines_on_m2_f3i_frozen(tmp_path, capsys):
     assert report.read_text() == _functor_record(1, "[]") * 6
 
 
+# (Z/n)^x modulo d-th powers for d = 0, 2, 3: quotients with up to five factors
+ZMOD_LINEAR_QUOTIENTS = {
+    15015: ((5760, "[2, 2, 2, 12, 60]"), (32, "[2, 2, 2, 2, 2]"), (9, "[3, 3]")),
+    9009: ((4320, "[2, 6, 6, 60]"), (16, "[2, 2, 2, 2]"), (27, "[3, 3, 3]")),
+}
+
+
+@pytest.mark.parametrize("n", sorted(ZMOD_LINEAR_QUOTIENTS))
+def test_linear_power_quotients_of_zmod_report_bytes_frozen(tmp_path, capsys, n):
+    cfg = f"[ring]\nkind = zmod\nmodulus = {n}\n\n[tasks]\n" + "".join(
+        f"task = functor kind=linear ext=identity algebra=no d={d}\n" for d in (0, 2, 3))
+    report = tmp_path / "r.jsonl"
+    assert cli.main(["run", "--config", write(tmp_path, cfg), "--report", str(report)]) == 0
+    want = ZMOD_LINEAR_QUOTIENTS[n]
+    assert capsys.readouterr().out == "".join(f"CHECK functor PASS order={o}\n" for o, _ in want)
+    assert report.read_text() == "".join(_functor_record(o, f) for o, f in want)
+
+
 # -- fuzzed task lines ---------------------------------------------------------------
 
 FUZZ_CFGS = {

@@ -563,6 +563,11 @@ def _units_mod_powers_factors(n: int, d: int):
             primary.setdefault(q, []).append(q ** e)
     for powers in primary.values():
         powers.sort(reverse=True)
+    return _combine_primary(primary)
+
+
+def _combine_primary(primary):
+    """Invariant factors, ascending, from {p: the p-primary factors, descending}."""
     factors = [math.prod(powers[i] for powers in primary.values() if i < len(powers))
                for i in range(max(map(len, primary.values()), default=0))]
     return factors[::-1]
@@ -684,6 +689,59 @@ def test_lazy_cosets_match_an_eager_build_on_the_crt_cases(d):
         zn = Zmod(n)
         units = [u for u in range(n) if math.gcd(u, n) == 1]
         _assert_matches_eager(FiniteAbelianPresentation(zn, units, {pow(u, d, n) for u in units}))
+
+
+# a second oracle, for quotients by any subgroup, that shares no code with
+# elementary_divisors: Q[p^j], the elements of Q killed by p^j, has
+# |Q[p^j]| / |Q[p^(j-1)]| = p^c_j, where c_j counts the invariant factors
+# divisible by p^j
+def _factors_from_element_orders(orders):
+    """Invariant factors, ascending, of the abelian group with these element orders."""
+    primary = {}
+    for p in _prime_powers(len(orders)):
+        counts, below, j = [], 1, 1
+        while True:
+            at = sum(1 for o in orders if p ** j % o == 0)
+            if at == below:
+                break
+            ratio, c = at // below, 0
+            while ratio % p == 0:
+                ratio, c = ratio // p, c + 1
+            assert ratio == 1 and at % below == 0, (p, j)
+            counts.append(c)
+            below, j = at, j + 1
+        primary[p] = [p ** sum(1 for c in counts if c > i) for i in range(counts[0])]
+    return _combine_primary(primary)
+
+
+def test_element_order_oracle_on_known_groups():
+    assert _factors_from_element_orders([1]) == []
+    assert _factors_from_element_orders([1, 2, 2, 2]) == [2, 2]
+    assert _factors_from_element_orders([1, 2, 4, 4]) == [4]
+    # Z/2 x Z/6: one element of order 1, three of 2, two of 3, six of 6
+    assert _factors_from_element_orders([1] + [2] * 3 + [3] * 2 + [6] * 6) == [2, 6]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_invariant_factors_of_any_subgroup_quotient_match_the_element_orders(data):
+    ring = data.draw(st.one_of(
+        st.integers(1, 200).map(lambda k: Zmod(2 * k + 1)),
+        st.sampled_from(presets.ETALE_NAMES).map(presets.etale_preset)), label="ring")
+    units = list(ring.units_p())
+    one = ring.one_p()
+    picked = data.draw(st.lists(st.sampled_from(units), min_size=1, max_size=3),
+                       label="picked")
+    sub = _all_pairs_closure(ring, {one, *picked})
+    rep_of = {m: r for r, coset in _eager_cosets(ring, units, sub) for m in coset}
+    orders = []
+    for r in set(rep_of.values()):
+        x, k = r, 1
+        while rep_of[x] != rep_of[one]:
+            x, k = ring.mul_p(x, r), k + 1
+        orders.append(k)
+    want = _factors_from_element_orders(orders)
+    assert FiniteAbelianPresentation(ring, units, sub).elementary_divisors == want
 
 
 def test_rejected_set_raises_on_every_call():
